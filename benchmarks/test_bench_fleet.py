@@ -1,11 +1,10 @@
 """Bench: the persistent worker fleet at population scale.
 
-Times a 256-candidate population through the three population
-backends — the in-process compiled batch, thread-sharded batch shards,
-and the shared-memory worker fleet (workers rebuild the compiled
-objective once via ``objective_factory``; candidates and fitness cross
-process boundaries through preallocated float64 buffers, never
-pickle) — and writes ``BENCH_parallel_fleet.json`` with wall times,
+Times a 256-candidate population through the two population
+backends — the in-process compiled batch and the shared-memory worker
+fleet (workers rebuild the compiled objective once via
+``objective_factory``; candidates and fitness cross process boundaries
+through preallocated float64 buffers, never pickle) — and writes ``BENCH_parallel_fleet.json`` with wall times,
 throughput, speedups, and the host context the numbers came from.
 
 The acceptance bar (fleet >= 2x over the in-process batch) only arms
@@ -54,11 +53,6 @@ def test_bench_parallel_fleet(save_report, report_dir, host_context):
         batched(population[:8])  # warm allocations
         t_batched = _best_of(lambda: batched(population))
 
-    with PopulationEvaluator(objective, objective_batch=objective_batch,
-                             backend="thread", workers=workers) as threaded:
-        threaded(population[:8])
-        t_thread = _best_of(lambda: threaded(population))
-
     t_fleet = warmup_s = None
     try:
         with PopulationEvaluator(objective, objective_batch=objective_batch,
@@ -75,15 +69,12 @@ def test_bench_parallel_fleet(save_report, report_dir, host_context):
     payload = {
         "n_candidates": N_CANDIDATES,
         "batched_s": t_batched,
-        "thread_s": t_thread,
         "fleet_s": t_fleet,
         "fleet_warmup_s": warmup_s,
         "batched_candidates_per_s": N_CANDIDATES / t_batched,
-        "thread_candidates_per_s": N_CANDIDATES / t_thread,
         "fleet_candidates_per_s": (
             N_CANDIDATES / t_fleet if t_fleet else None
         ),
-        "speedup_thread_vs_batched": t_batched / t_thread,
         "speedup_fleet_vs_batched": (
             t_batched / t_fleet if t_fleet else None
         ),
@@ -97,9 +88,6 @@ def test_bench_parallel_fleet(save_report, report_dir, host_context):
         f"population of {N_CANDIDATES} candidates, {workers} workers",
         f"batched     : {1e3 * t_batched:8.1f} ms "
         f"({N_CANDIDATES / t_batched:7.1f} candidates/s)",
-        f"thread      : {1e3 * t_thread:8.1f} ms "
-        f"({N_CANDIDATES / t_thread:7.1f} candidates/s)  "
-        f"speedup {t_batched / t_thread:.2f}x",
     ]
     if t_fleet:
         lines.append(

@@ -220,7 +220,11 @@ class SparsePlan:
         self.last_update: Optional[str] = None
         # Assembly scratch, keyed by batch size: the (B, F, m, m)
         # buffer never escapes a solve, so reusing it saves the
-        # dominant allocation of the per-batch hot path.
+        # dominant allocation of the per-batch hot path.  It is shared
+        # by every call, so a plan must be used by one thread at a
+        # time: two concurrent equal-sized solves overwrite each
+        # other's reduced systems.  Parallelism goes through worker
+        # processes, each with its own plan.
         self._scratch: Dict[int, np.ndarray] = {}
         self._rhs_tiled: Dict[int, np.ndarray] = {}
 

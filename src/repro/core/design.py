@@ -28,7 +28,6 @@ from repro.optimize.goal_attainment import (
     goal_attainment_improved,
     goal_attainment_standard,
 )
-from repro.optimize.batching import BatchShardExecutor, validate_workers
 from repro.optimize.scalarization import weighted_sum
 from repro.passives.catalog import snap_to_series
 
@@ -70,43 +69,25 @@ class FinalDesign:
 class DesignFlow:
     """Orchestrates problem construction, optimization, and finalization.
 
-    ``workers > 1`` shards the problem's population-level evaluations
-    (the goal-attainment probe stage, NSGA-II generations run through
-    :attr:`problem`) across a thread pool; per-row results are
-    bit-identical to the single-threaded run because the model's hot
-    loop is numpy ``linalg.solve`` on independent rows.  Call
-    :meth:`close` (or use the flow as a context manager) to release
-    the pool; everything still works — serially — without it.
+    The flow holds no resources to release; it is a context manager
+    only so ``with DesignFlow(...) as flow:`` call sites keep working.
     """
 
     def __init__(self, device: PHEMTSmallSignal,
                  spec: Optional[DesignSpec] = None,
                  template: Optional[AmplifierTemplate] = None,
-                 engine: str = "compiled",
-                 workers: Optional[int] = None):
+                 engine: str = "compiled"):
         self.device = device
         self.spec = spec or DesignSpec()
         self.template = template or AmplifierTemplate(device)
         self.evaluator = LnaEvaluator(self.template, engine=engine)
         self.problem = build_lna_problem(self.template, self.spec,
                                          self.evaluator)
-        self.workers = validate_workers(workers)
-        self._executor = None
-        if self.workers is not None and self.workers > 1:
-            self._executor = BatchShardExecutor(self.workers)
-            self.problem = self.problem.sharded(self._executor)
-
-    def close(self) -> None:
-        """Release the sharding thread pool (idempotent)."""
-        executor, self._executor = getattr(self, "_executor", None), None
-        if executor is not None:
-            executor.close()
 
     def __enter__(self) -> "DesignFlow":
         return self
 
     def __exit__(self, *exc_info):
-        self.close()
         return False
 
     # -- optimizer front-ends ------------------------------------------------

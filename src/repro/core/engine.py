@@ -217,6 +217,11 @@ class CompiledTemplate:
         ``solver_decision`` event.  The sparse tier agrees with dense
         to well under 1e-9 relative and is verified against the scalar
         path by the same compile-time probes.
+
+    A compiled template must be used by one thread at a time: its
+    sparse plan reuses scratch buffers across calls, and so does the
+    cache of the :class:`~repro.core.objectives.LnaEvaluator` that
+    wraps it.  Parallel evaluation gives each worker process its own.
     """
 
     def __init__(self, template: AmplifierTemplate,

@@ -27,7 +27,6 @@ __all__ = ["E5Result", "run", "submit", "format_report"]
 
 
 def submit(service, seed: int = 0, engine: str = "compiled",
-           workers: Optional[int] = None,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit this experiment to a job service instead of running inline.
@@ -39,7 +38,7 @@ def submit(service, seed: int = 0, engine: str = "compiled",
     retry handled by the supervisor.
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(seed=seed, engine=engine, workers=workers, **run_kwargs)
+    kwargs = dict(seed=seed, engine=engine, **run_kwargs)
     return submit_experiment(service, "e5_optimizer_comparison", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -52,7 +51,6 @@ class E5Result:
 
 
 def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
-        workers: Optional[int] = None,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E5Result:
     """Run the three optimizers on a fresh LNA problem each.
@@ -60,9 +58,6 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
     ``engine`` selects the evaluation path ("compiled" batches the
     improved method's probe stage through one MNA factorization;
     "scalar" forces the original per-candidate circuit build).
-    ``workers > 1`` additionally shards each flow's population-level
-    evaluations across threads (bit-identical results, see
-    :class:`~repro.core.design.DesignFlow`).
     ``record_to`` names a runs root: the experiment is then recorded as
     a run directory (flight-recorder journal + metrics/trace exports,
     see :mod:`repro.obs.runs`) addressable with ``repro-obs``.
@@ -103,24 +98,21 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
             seeds = warm_start_population(config, warm_start,
                                           population_size=40)
 
-        with _obs_tracer.span("e5.improved_goal_attainment"), \
-                DesignFlow(device.small_signal, engine=engine,
-                           workers=workers) as flow:
+        with _obs_tracer.span("e5.improved_goal_attainment"):
+            flow = DesignFlow(device.small_signal, engine=engine)
             record("improved goal attainment", flow,
                    flow.run_improved(goals=goals, seed=seed, n_probe=40,
                                      n_starts=3, tighten_rounds=2,
                                      initial_population=seeds,
                                      on_generation=journal))
 
-        with _obs_tracer.span("e5.standard_goal_attainment"), \
-                DesignFlow(device.small_signal, engine=engine,
-                           workers=workers) as flow:
+        with _obs_tracer.span("e5.standard_goal_attainment"):
+            flow = DesignFlow(device.small_signal, engine=engine)
             record("standard goal attainment", flow,
                    flow.run_standard(goals=goals))
 
-        with _obs_tracer.span("e5.weighted_sum"), \
-                DesignFlow(device.small_signal, engine=engine,
-                           workers=workers) as flow:
+        with _obs_tracer.span("e5.weighted_sum"):
+            flow = DesignFlow(device.small_signal, engine=engine)
             record("weighted sum", flow,
                    flow.run_weighted_sum(weights=(1.0, 0.1), seed=seed,
                                          n_starts=4))

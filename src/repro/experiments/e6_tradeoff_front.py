@@ -28,7 +28,7 @@ __all__ = ["E6Result", "run", "submit", "format_report"]
 
 
 def submit(service, n_points: int = 5, seed: int = 0,
-           engine: str = "compiled", workers: Optional[int] = None,
+           engine: str = "compiled",
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit the front sweep to a job service instead of running inline.
@@ -39,7 +39,7 @@ def submit(service, n_points: int = 5, seed: int = 0,
     """
     from repro.service.api import submit_experiment
     kwargs = dict(n_points=n_points, seed=seed, engine=engine,
-                  workers=workers, **run_kwargs)
+                  **run_kwargs)
     return submit_experiment(service, "e6_tradeoff_front", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -56,16 +56,12 @@ class E6Result:
 
 
 def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
-        workers: Optional[int] = None,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E6Result:
     """Trace the front with both methods.
 
-    ``workers > 1`` shards every flow's population-level evaluations
-    across threads (bit-identical results, see
-    :class:`~repro.core.design.DesignFlow`).  ``record_to`` names a
-    runs root; the sweep is then journaled as one run (each goal
-    point's generations carry distinct algorithm tags).
+    ``record_to`` names a runs root; the sweep is then journaled as one
+    run (each goal point's generations carry distinct algorithm tags).
     ``warm_start`` names a runs root whose nearest archived final
     population seeds every goal point's probe stage (see
     :func:`repro.obs.analytics.warm_start_population`).
@@ -92,9 +88,8 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
         goal_points = []
         for k, (nf_goal, gt_goal) in enumerate(zip(nf_goals, gt_goals)):
             with _obs_tracer.span("e6.goal_point", index=k,
-                                  nf_goal=float(nf_goal)), \
-                    DesignFlow(device.small_signal, engine=engine,
-                               workers=workers) as flow:
+                                  nf_goal=float(nf_goal)):
+                flow = DesignFlow(device.small_signal, engine=engine)
                 result = flow.run_improved(
                     goals=np.array([nf_goal, -gt_goal]), seed=seed,
                     n_probe=32, n_starts=2, tighten_rounds=1,
@@ -107,9 +102,8 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
 
         wsum_points = []
         for k, w_nf in enumerate(np.linspace(0.1, 4.0, n_points)):
-            with _obs_tracer.span("e6.wsum_point", index=k), \
-                    DesignFlow(device.small_signal, engine=engine,
-                               workers=workers) as flow:
+            with _obs_tracer.span("e6.wsum_point", index=k):
+                flow = DesignFlow(device.small_signal, engine=engine)
                 result = flow.run_weighted_sum(weights=(w_nf, 0.2),
                                                seed=seed, n_starts=3)
             if result.constraint_violation <= 1e-6:

@@ -9,7 +9,6 @@ unconditionally stable.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +22,6 @@ __all__ = ["E8Result", "run", "submit", "format_report"]
 
 
 def submit(service, profile: str = "full", engine: str = "compiled",
-           workers: Optional[int] = None,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit the selected-design run to a job service.
@@ -33,8 +31,7 @@ def submit(service, profile: str = "full", engine: str = "compiled",
     retry, crash recovery).
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(profile=profile, engine=engine, workers=workers,
-                  **run_kwargs)
+    kwargs = dict(profile=profile, engine=engine, **run_kwargs)
     return submit_experiment(service, "e8_selected_design", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -46,41 +43,32 @@ class E8Result:
 
 
 def run(profile: str = "full", engine: str = "compiled",
-        workers: Optional[int] = None,
         record_to: Optional[str] = None) -> E8Result:
     """Fetch (or compute) the cached selected design.
 
-    ``workers > 1`` shards the flow's population-level evaluations
-    across threads — results stay bit-identical, so the cached and
-    parallel designs agree.  ``record_to`` names a runs root; the
-    optimization is then executed outside the process-wide cache so its
-    convergence trace lands in a fresh flight-recorder journal.
+    ``record_to`` names a runs root; the optimization is then executed
+    outside the process-wide cache so its convergence trace lands in a
+    fresh flight-recorder journal.
     """
-    if record_to is None and workers is None:
+    if record_to is None:
         with _obs_tracer.span("e8.run", profile=profile):
             return E8Result(design=selected_design(profile, engine))
-    recording = (
-        recorded_run(record_to, name="e8",
-                     config={"experiment": "e8", "engine": engine,
-                             "profile": profile},
-                     seeds={"seed": 11})
-        if record_to is not None else nullcontext()
-    )
-    with recording as run_dir:
-        with _obs_tracer.span("e8.run", profile=profile), \
-                DesignFlow(reference_device().small_signal,
-                           engine=engine, workers=workers) as flow:
-            if profile == "full":
-                result = flow.run_improved(
-                    seed=11, n_probe=40, n_starts=3, tighten_rounds=2,
-                    on_generation=(run_dir.journal
-                                   if run_dir is not None else None),
-                )
-            elif profile == "fast":
-                result = flow.run_standard()
-            else:
-                raise ValueError(f"unknown profile {profile!r}")
-            return E8Result(design=flow.finalize(result))
+    with recorded_run(record_to, name="e8",
+                      config={"experiment": "e8", "engine": engine,
+                              "profile": profile},
+                      seeds={"seed": 11}) as run_dir, \
+            _obs_tracer.span("e8.run", profile=profile):
+        flow = DesignFlow(reference_device().small_signal, engine=engine)
+        if profile == "full":
+            result = flow.run_improved(
+                seed=11, n_probe=40, n_starts=3, tighten_rounds=2,
+                on_generation=run_dir.journal,
+            )
+        elif profile == "fast":
+            result = flow.run_standard()
+        else:
+            raise ValueError(f"unknown profile {profile!r}")
+        return E8Result(design=flow.finalize(result))
 
 
 def format_report(result: E8Result) -> str:

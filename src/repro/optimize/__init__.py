@@ -2,7 +2,6 @@
 
 from repro.optimize.batching import (
     BACKENDS,
-    BatchShardExecutor,
     PopulationEvaluator,
     validate_workers,
 )
@@ -82,7 +81,6 @@ from repro.optimize.pareto import (
 
 __all__ = [
     "BACKENDS",
-    "BatchShardExecutor",
     "FleetBroken",
     "PopulationEvaluator",
     "WorkerFleet",

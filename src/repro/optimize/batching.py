@@ -13,24 +13,25 @@ one solve per generation instead of one per candidate.
   did before batching existed;
 * ``"batch"`` — one in-process call to ``objective_batch`` per
   generation;
-* ``"thread"`` — ``objective_batch`` (or the scalar loop) sharded
-  across a ``ThreadPoolExecutor``; the hot loop is numpy
-  ``linalg.solve``, which releases the GIL, so the shards genuinely
-  overlap with **zero** serialization;
 * ``"fleet"`` — a persistent :class:`~repro.optimize.fleet.WorkerFleet`
   of processes exchanging candidates and results through preallocated
   shared-memory buffers (no per-call pickling — the objective ships
-  once at spawn);
+  once at spawn); the only parallel path, because each worker process
+  owns its own copy of the objective's state;
 * ``"auto"`` — measure the first generation in-process and the second
-  on the parallel candidate (threads when a batch objective exists,
-  the fleet otherwise), then commit to whichever was faster — the
-  decision is benchmarked, not guessed, and journaled as
-  ``backend_decision``.
+  on the fleet, then commit to whichever was faster — the decision is
+  benchmarked, not guessed, and journaled as ``backend_decision``.
 
 ``backend=None`` keeps the historical inference: an explicit
 ``objective_batch`` wins; otherwise ``workers > 1`` selects the fleet
 (the successor of the old per-generation process pool); otherwise the
 serial loop.
+
+There is deliberately no in-process thread backend.  Objectives that
+carry mutable scratch state — the compiled engine's sparse plan reuses
+one buffer per batch size — are not safe to call from two threads at
+once, so sharding one objective across threads silently corrupts
+results.
 
 Every path is **fault-isolated**: a candidate whose evaluation raises,
 returns a non-finite value, or exceeds the per-generation timeout gets
@@ -43,15 +44,14 @@ shared-memory segments) with capped exponential backoff, and after
 evaluation permanently (recorded as ``health.serial_fallback``).
 Per-row results are bit-identical across all backends: the same
 float64 candidate rows meet the same objective code, whether in this
-process, a thread shard, or a fleet worker.
+process or in a fleet worker.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,14 +75,17 @@ from repro.optimize.fleet import (
 
 __all__ = [
     "BACKENDS",
-    "BatchShardExecutor",
     "PopulationEvaluator",
+    "validate_backend",
     "validate_workers",
 ]
 
 #: Accepted values of ``PopulationEvaluator(backend=...)`` (besides
 #: ``None``, which keeps the historical inference).
-BACKENDS = ("serial", "batch", "thread", "fleet", "auto")
+BACKENDS = ("serial", "batch", "fleet", "auto")
+
+#: The backends that may run candidates in worker processes.
+_PARALLEL = ("fleet", "auto")
 
 
 def validate_workers(workers: Optional[int]) -> Optional[int]:
@@ -108,6 +111,20 @@ def validate_workers(workers: Optional[int]) -> Optional[int]:
     return int(workers)
 
 
+def validate_backend(backend: Optional[str]) -> Optional[str]:
+    """Check a ``backend`` argument against :data:`BACKENDS`.
+
+    ``None`` (infer from the other inputs) passes through; anything
+    else must be one of :data:`BACKENDS`, or a ``ValueError`` naming
+    the offending value is raised.
+    """
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(
+            f"backend must be one of {BACKENDS} or None, got {backend!r}"
+        )
+    return backend
+
+
 def default_workers() -> int:
     """Worker count used when a parallel backend is asked for without
     an explicit ``workers``: the CPUs this process may actually use."""
@@ -117,73 +134,11 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-class BatchShardExecutor:
-    """Shard array-valued batch callables across a thread pool.
-
-    The multi-objective problems expose ``objectives_batch`` /
-    ``constraints_batch`` returning ``(B, k)`` matrices rather than the
-    ``(B,)`` vectors :class:`PopulationEvaluator` handles, so they get
-    their own thin sharding wrapper: :meth:`map_batch` splits the
-    population into per-worker row blocks, runs the callable on each
-    block concurrently, and stacks the results back **in row order** —
-    bit-identical to the unsharded call because every row meets the
-    same code on the same data.  Exceptions propagate unchanged so the
-    callers' existing batch→serial degradation still owns failure
-    handling.
-    """
-
-    def __init__(self, workers: int):
-        workers = validate_workers(workers)
-        if workers is None:
-            raise ValueError("BatchShardExecutor needs an explicit "
-                             "worker count")
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise RuntimeError("BatchShardExecutor is closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool
-
-    def map_batch(self, fn: Callable[[np.ndarray], np.ndarray],
-                  population: np.ndarray) -> np.ndarray:
-        """``fn`` over row shards of *population*, restacked in order."""
-        population = np.asarray(population, dtype=float)
-        n = population.shape[0]
-        n_shards = min(self.workers, n)
-        if n_shards <= 1:
-            return np.asarray(fn(population))
-        pool = self._ensure_pool()
-        shards = np.array_split(population, n_shards, axis=0)
-        futures = [pool.submit(fn, shard) for shard in shards]
-        parts = [np.asarray(future.result()) for future in futures]
-        return np.concatenate(parts, axis=0)
-
-    def close(self) -> None:
-        self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "BatchShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-
 class PopulationEvaluator:
     """Maps a ``(B, n)`` population to ``(B,)`` objective values.
 
     Use as a context manager (or call :meth:`close`) when a parallel
-    backend is in play, so worker processes/threads and shared-memory
+    backend is in play, so worker processes and shared-memory
     segments are reclaimed deterministically; a ``__del__`` safety net
     does the same if an optimizer dies mid-run without closing.  Both
     paths are idempotent, survive a half-constructed instance, and
@@ -240,17 +195,13 @@ class PopulationEvaluator:
                 f"generation_timeout must be positive, "
                 f"got {generation_timeout}"
             )
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS} or None, "
-                f"got {backend!r}"
-            )
+        validate_backend(backend)
         if backend == "batch" and objective_batch is None:
             raise ValueError('backend="batch" requires objective_batch')
         self._objective = objective
         self._batch = objective_batch
         self._objective_factory = objective_factory
-        if workers is None and backend in ("thread", "fleet", "auto"):
+        if workers is None and backend in _PARALLEL:
             workers = default_workers()
         self._workers = workers
         self.generation_timeout = generation_timeout
@@ -261,7 +212,6 @@ class PopulationEvaluator:
         self.fleet_capacity = int(fleet_capacity)
         self.requested_backend = backend
         self._fleet: Optional[WorkerFleet] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._fleet_abandoned = False
         self._auto_samples: List[Tuple[str, float]] = []
         self._closed = False
@@ -276,9 +226,9 @@ class PopulationEvaluator:
             if self._workers is not None and self._workers > 1:
                 return "fleet"
             return "serial"
-        if backend in ("thread", "fleet", "auto") and self._workers == 1:
+        if backend in _PARALLEL and self._workers == 1:
             # One worker cannot overlap anything; stay in-process.
-            return "batch" if self._batch is not None else "serial"
+            return self._inprocess_mode()
         return backend
 
     # -- dispatch -----------------------------------------------------------
@@ -299,15 +249,15 @@ class PopulationEvaluator:
     def _current_mode(self) -> str:
         """The concrete path the next generation will take."""
         backend = self.backend
-        if self._closed and backend in ("thread", "fleet", "auto"):
+        if self._closed and backend in _PARALLEL:
             # A closed evaluator must not respawn workers; it keeps
             # answering (the old pool path did too), just in-process.
             return self._inprocess_mode()
         if backend == "auto":
-            # Probe in-process first, the parallel candidate second.
+            # Probe in-process first, the fleet second.
             if not self._auto_samples:
                 return self._inprocess_mode()
-            return self._parallel_candidate()
+            return "fleet"
         if backend == "fleet" and self._fleet_abandoned:
             return self._inprocess_mode()
         return backend
@@ -315,17 +265,9 @@ class PopulationEvaluator:
     def _inprocess_mode(self) -> str:
         return "batch" if self._batch is not None else "serial"
 
-    def _parallel_candidate(self) -> str:
-        # Threads only overlap when the batch objective does real
-        # numpy work that releases the GIL; a scalar-only objective
-        # needs real processes.
-        return "thread" if self._batch is not None else "fleet"
-
     def _dispatch(self, mode: str, population: np.ndarray) -> np.ndarray:
         if mode == "batch":
             return self._batch_eval(population)
-        if mode == "thread":
-            return self._thread_eval(population)
         if mode == "fleet":
             return self._fleet_eval(population)
         return self._serial_eval(population)
@@ -357,19 +299,7 @@ class PopulationEvaluator:
         )
 
     def _batch_eval(self, population: np.ndarray) -> np.ndarray:
-        values, health = self._guarded_batch(population)
-        self.health.merge(health)
-        return values
-
-    def _guarded_batch(self, population: np.ndarray
-                       ) -> Tuple[np.ndarray, RunHealth]:
-        """One fault-isolated batch call, failures in a local record.
-
-        Shared by the in-process batch path and every thread shard, so
-        a sharded generation counts failures exactly like an unsharded
-        one — the local records merge in shard order afterwards.
-        """
-        local = RunHealth()
+        """One fault-isolated call to ``objective_batch``."""
         n = population.shape[0]
         try:
             values = np.asarray(self._batch(population),
@@ -377,13 +307,8 @@ class PopulationEvaluator:
         except Exception:  # noqa: BLE001 - degrade, don't abort
             # The serial re-evaluation records the per-candidate
             # failures, so the batch-level error only counts as a retry.
-            local.retries += 1
-            values = np.array(
-                [guarded_call(self._objective, x, local)
-                 for x in population],
-                dtype=float,
-            )
-            return values, local
+            self.health.retries += 1
+            return self._serial_eval(population)
         if values.shape[0] != n:
             raise ValueError(
                 f"objective_batch returned {values.shape[0]} values "
@@ -391,51 +316,9 @@ class PopulationEvaluator:
             )
         bad = ~np.isfinite(values)
         if np.any(bad):
-            local.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
+            self.health.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
             values = np.where(bad, np.inf, values)
-        return values, local
-
-    # -- thread-parallel path -----------------------------------------------
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._workers,
-                thread_name_prefix="repro-eval",
-            )
-        return self._thread_pool
-
-    def _thread_eval(self, population: np.ndarray) -> np.ndarray:
-        n = population.shape[0]
-        n_shards = min(self._workers or 1, n)
-        if n_shards <= 1:
-            return (self._batch_eval(population)
-                    if self._batch is not None
-                    else self._serial_eval(population))
-        pool = self._ensure_thread_pool()
-        shards = np.array_split(population, n_shards, axis=0)
-        if self._batch is not None:
-            futures = [pool.submit(self._guarded_batch, shard)
-                       for shard in shards]
-        else:
-            futures = [pool.submit(self._guarded_rows, shard)
-                       for shard in shards]
-        parts: List[np.ndarray] = []
-        # Merge shard-local health in shard (row) order so counter
-        # totals are independent of thread scheduling.
-        for future in futures:
-            values, shard_health = future.result()
-            parts.append(values)
-            self.health.merge(shard_health)
-        return np.concatenate(parts)
-
-    def _guarded_rows(self, population: np.ndarray
-                      ) -> Tuple[np.ndarray, RunHealth]:
-        local = RunHealth()
-        values = np.array(
-            [guarded_call(self._objective, x, local) for x in population],
-            dtype=float,
-        )
-        return values, local
+        return values
 
     # -- shared-memory fleet path -------------------------------------------
     def _ensure_fleet(self) -> WorkerFleet:
@@ -535,7 +418,7 @@ class PopulationEvaluator:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self):
-        """Release workers, threads, and shared memory.  Idempotent and
+        """Release worker processes and shared memory.  Idempotent and
         exception-safe — callable on a half-constructed instance and
         during interpreter shutdown."""
         if getattr(self, "_closed", False):
@@ -546,13 +429,6 @@ class PopulationEvaluator:
         if fleet is not None:
             try:
                 fleet.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        pool = getattr(self, "_thread_pool", None)
-        self._thread_pool = None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
             except Exception:  # pragma: no cover - teardown best effort
                 pass
 

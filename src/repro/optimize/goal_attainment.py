@@ -39,7 +39,7 @@ compares them fairly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from scipy import optimize as sp_optimize
 
 from repro.obs import tracer as _obs_tracer
 from repro.obs.telemetry import GenerationRecord
-from repro.optimize.batching import BatchShardExecutor, validate_workers
 from repro.optimize.checkpoint import CheckpointStore, resume_or_none
 from repro.optimize.faults import (
     CATEGORY_NON_FINITE,
@@ -115,34 +114,6 @@ class MultiObjectiveProblem:
             self.objective_names = tuple(
                 f"f{i + 1}" for i in range(self.n_objectives)
             )
-
-    def sharded(self, executor) -> "MultiObjectiveProblem":
-        """This problem with its batch callables sharded over *executor*.
-
-        *executor* is a
-        :class:`~repro.optimize.batching.BatchShardExecutor`; the
-        returned problem routes ``objectives_batch`` /
-        ``constraints_batch`` through ``executor.map_batch`` so the
-        per-worker row blocks evaluate concurrently (the model's hot
-        loop is numpy ``linalg.solve``, which releases the GIL).  Rows
-        restack in order, so results stay bit-identical to the
-        unsharded call; a problem with no batch callables is returned
-        unchanged.  The caller keeps ownership of *executor* and closes
-        it when the run is done.
-        """
-        if self.objectives_batch is None and self.constraints_batch is None:
-            return self
-
-        def shard(fn):
-            if fn is None:
-                return None
-            return lambda population: executor.map_batch(fn, population)
-
-        return replace(
-            self,
-            objectives_batch=shard(self.objectives_batch),
-            constraints_batch=shard(self.constraints_batch),
-        )
 
 
 @dataclass
@@ -333,7 +304,6 @@ def goal_attainment_improved(
     seed: Optional[int] = 0,
     initial_population: Optional[np.ndarray] = None,
     max_iterations: int = 200,
-    workers: Optional[int] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
     resume: bool = True,
     on_generation: Optional[Callable[[GenerationRecord], None]] = None,
@@ -346,12 +316,6 @@ def goal_attainment_improved(
     first.  The finished run journals its NLP starts plus the final
     design as a ``final_population`` event for future warm starts.
 
-    ``workers > 1`` shards the population-level probe stage — the only
-    batched part of this algorithm — across a thread pool
-    (:meth:`MultiObjectiveProblem.sharded`); row order and per-row
-    results are preserved, so the run stays bit-identical.  The
-    sequential NLP stages are unaffected.
-
     With a ``checkpoint_store`` the run snapshots its state after the
     probe stage, after every NLP start, and after every tightening
     round (the counter memo rides along, so a resumed run reports the
@@ -363,25 +327,6 @@ def goal_attainment_improved(
     tightening round *r* is generation ``n_starts + r + 1`` — and rides
     inside checkpoints when it exposes ``state()``/``restore()``.
     """
-    workers = validate_workers(workers)
-    if workers is not None and workers > 1:
-        # Re-enter with the sharded problem so the executor's lifetime
-        # brackets exactly one run; the inner call sees workers=None.
-        executor = BatchShardExecutor(workers)
-        try:
-            return goal_attainment_improved(
-                problem.sharded(executor), goals, weights=weights,
-                n_probe=n_probe, n_starts=n_starts,
-                tighten_rounds=tighten_rounds,
-                tighten_fraction=tighten_fraction, seed=seed,
-                initial_population=initial_population,
-                max_iterations=max_iterations, workers=None,
-                checkpoint_store=checkpoint_store, resume=resume,
-                on_generation=on_generation,
-            )
-        finally:
-            executor.close()
-
     goals = np.asarray(goals, dtype=float)
     if goals.shape != (problem.n_objectives,):
         raise ValueError(

@@ -235,9 +235,8 @@ def differential_evolution(
 
     When ``objective_batch`` (a ``(B, n) -> (B,)`` map), ``workers``,
     or ``backend`` is given, each generation's trial vectors are built
-    first and evaluated in one population-level call — in-process,
-    across thread shards, or on the shared-memory worker fleet
-    depending on ``backend`` (see
+    first and evaluated in one population-level call — in-process or
+    on the shared-memory worker fleet depending on ``backend`` (see
     :class:`~repro.optimize.batching.PopulationEvaluator`).  This is
     the classic
     *generational* DE variant: donors are drawn from the start-of-

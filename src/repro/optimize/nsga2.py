@@ -35,7 +35,6 @@ from repro.optimize.faults import (
     RunHealth,
     classify_exception,
 )
-from repro.optimize.batching import BatchShardExecutor, validate_workers
 from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.optimize.metaheuristics import (
     _emit_final_population,
@@ -117,7 +116,6 @@ def nsga2(
     mutation_eta: float = 20.0,
     seed: Optional[int] = 0,
     initial_population: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
     checkpoint_every: int = 10,
     resume: bool = True,
@@ -131,13 +129,6 @@ def nsga2(
     :func:`repro.obs.analytics.warm_start_population`.  The finished
     run journals its own final population (with the first objective as
     the fitness ordering) for the next warm start.
-
-    ``workers > 1`` shards the problem's batch callables across a
-    thread pool (:meth:`MultiObjectiveProblem.sharded`): the model's
-    hot loop releases the GIL, the row order is preserved, and the
-    per-row results — and hence the whole run — stay bit-identical to
-    the single-threaded evaluation.  A problem without batch callables
-    ignores ``workers``.
 
     With a ``checkpoint_store`` the complete generation state
     (population, objectives, violations, RNG state, health counters)
@@ -158,29 +149,6 @@ def nsga2(
     health = RunHealth()
     algorithm = "nsga2"
 
-    executor = None
-    workers = validate_workers(workers)
-    if workers is not None and workers > 1:
-        executor = BatchShardExecutor(workers)
-        problem = problem.sharded(executor)
-    try:
-        return _nsga2_run(
-            problem, population_size, n_generations,
-            crossover_probability, crossover_eta, mutation_eta, rng,
-            health, algorithm, checkpoint_store, checkpoint_every,
-            resume, on_generation, initial_population,
-        )
-    finally:
-        if executor is not None:
-            executor.close()
-
-
-def _nsga2_run(problem, population_size, n_generations,
-               crossover_probability, crossover_eta, mutation_eta, rng,
-               health, algorithm, checkpoint_store, checkpoint_every,
-               resume, on_generation,
-               initial_population=None) -> Nsga2Result:
-    dim = problem.lower.size
     checkpoint = resume_or_none(checkpoint_store, algorithm) \
         if resume else None
     if checkpoint is not None:

@@ -38,6 +38,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.optimize.batching import validate_backend, validate_workers
+
 __all__ = [
     "JOB_STATE_PENDING",
     "JOB_STATE_LEASED",
@@ -96,7 +98,9 @@ class JobSpec:
         arguments passed through verbatim, and the run seed.
     workers, backend, generation_timeout:
         Parallel-evaluation knobs threaded into the optimizer (see
-        :class:`repro.optimize.batching.PopulationEvaluator`).
+        :class:`repro.optimize.batching.PopulationEvaluator`);
+        ``workers`` and ``backend`` are validated at construction, so
+        a bad value fails the submit rather than a leased run.
     checkpoint_every:
         Generations between durable checkpoints.  The default ``1``
         makes every completed generation recoverable — the service's
@@ -156,6 +160,8 @@ class JobSpec:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be positive, got {self.deadline_s}")
+        validate_workers(self.workers)
+        validate_backend(self.backend)
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)

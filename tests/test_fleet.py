@@ -2,8 +2,9 @@
 
 Contracts under test:
 
-* every backend — serial loop, in-process batch, thread shards, worker
-  fleet — returns bit-identical values for the same population;
+* every backend — serial loop, in-process batch, worker fleet, and
+  ``auto`` over the sparse-tier LNA objective — returns bit-identical
+  values for the same population;
 * the compiled LNA objective crosses the process boundary via
   ``objective_factory`` / pickled :class:`CompiledTemplate` (state
   travels, compilation reruns in the worker) and still matches the
@@ -13,10 +14,8 @@ Contracts under test:
   bit-for-bit those of a clean run, journals the ladder, and leaves no
   shared-memory segment behind;
 * the fleet's shared buffers grow when a larger population arrives;
-* ``backend="auto"`` commits to the measured winner and journals the
-  decision;
-* ``workers=`` on the front-end optimizers is a pure speed knob — the
-  sharded run reproduces the single-threaded result exactly.
+* ``backend="auto"`` commits to the measured winner between the
+  in-process batch and the fleet, and journals the decision.
 """
 
 import glob
@@ -31,13 +30,8 @@ from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.engine import CompiledMetricObjective, CompiledTemplate
 from repro.experiments.common import reference_device
 from repro.obs.journal import RunJournal, set_journal
-from repro.optimize import PopulationEvaluator, nsga2
-from repro.optimize.batching import BatchShardExecutor
+from repro.optimize import PopulationEvaluator
 from repro.optimize.faults import FaultInjector
-from repro.optimize.goal_attainment import (
-    MultiObjectiveProblem,
-    goal_attainment_improved,
-)
 
 
 # Module-level (hence picklable) objectives.
@@ -48,26 +42,6 @@ def _sphere(x):
 
 def _sphere_batch(population):
     return np.sum(np.asarray(population) ** 2, axis=1)
-
-
-def _biobjective_batch(population):
-    population = np.asarray(population, dtype=float)
-    return np.stack([
-        np.sum(population ** 2, axis=1),
-        np.sum((population - 1.0) ** 2, axis=1),
-    ], axis=1)
-
-
-def _biobjective(x):
-    return _biobjective_batch(np.atleast_2d(x))[0]
-
-
-def _batch_problem():
-    return MultiObjectiveProblem(
-        objectives=_biobjective, n_objectives=2,
-        lower=np.zeros(3), upper=np.ones(3),
-        objectives_batch=_biobjective_batch,
-    )
 
 
 def _leaked_segments():
@@ -100,20 +74,44 @@ def journal(tmp_path):
 # backend equivalence
 # ----------------------------------------------------------------------
 
-def test_all_backends_bit_identical():
-    rng = np.random.default_rng(7)
-    population = rng.standard_normal((17, 4))
-    reference = PopulationEvaluator(_sphere, backend="serial")(population)
+def _sphere_inputs():
+    population = np.random.default_rng(7).standard_normal((17, 4))
+    return _sphere, _sphere_batch, [population]
 
-    for kwargs in (
-        dict(objective_batch=_sphere_batch, backend="batch"),
-        dict(objective_batch=_sphere_batch, backend="thread", workers=3),
-        dict(backend="fleet", workers=2),
-        dict(objective_batch=_sphere_batch, backend="fleet", workers=2),
-    ):
-        with PopulationEvaluator(_sphere, **kwargs) as evaluator:
-            values = evaluator(population)
-        np.testing.assert_array_equal(values, reference)
+
+def _sparse_lna_inputs():
+    # The sparse tier reuses per-batch-size scratch buffers, so any
+    # backend that shares one engine between concurrent equal-sized
+    # shards corrupts rows; each fleet worker owns its engine.
+    template = AmplifierTemplate(reference_device().small_signal)
+    factory = CompiledMetricObjective(template, solver="sparse")
+    objective, objective_batch = factory()
+    rng = np.random.default_rng(13)
+    populations = [rng.random((256, len(DesignVariables.NAMES)))
+                   for _ in range(4)]
+    return objective, objective_batch, populations
+
+
+@pytest.mark.parametrize("inputs, with_batch, kwargs", [
+    pytest.param(_sphere_inputs, False, dict(backend="serial"),
+                 id="serial"),
+    pytest.param(_sphere_inputs, True, dict(backend="batch"), id="batch"),
+    pytest.param(_sphere_inputs, False, dict(backend="fleet", workers=2),
+                 id="fleet"),
+    pytest.param(_sphere_inputs, True, dict(backend="fleet", workers=2),
+                 id="fleet-batch"),
+    pytest.param(_sparse_lna_inputs, True, dict(backend="auto", workers=2),
+                 id="sparse-auto"),
+])
+def test_all_backends_bit_identical(inputs, with_batch, kwargs):
+    objective, objective_batch, populations = inputs()
+    references = [objective_batch(population) for population in populations]
+    if with_batch:
+        kwargs = dict(kwargs, objective_batch=objective_batch)
+    with PopulationEvaluator(objective, **kwargs) as evaluator:
+        for population, reference in zip(populations, references):
+            np.testing.assert_array_equal(evaluator(population), reference)
+        assert evaluator.health.n_failures == 0
     assert not _leaked_segments()
 
 
@@ -230,55 +228,9 @@ def test_auto_backend_commits_and_journals_decision(journal):
                              backend="auto", workers=2) as evaluator:
         for _ in range(3):
             np.testing.assert_array_equal(evaluator(population), reference)
-        assert evaluator.backend in ("batch", "thread")
+        assert evaluator.backend in ("batch", "fleet")
     decisions = [record for record in journal()
                  if record["event"] == "backend_decision"]
     assert len(decisions) == 1
     assert decisions[0]["chosen"] == evaluator.backend
-    assert set(decisions[0]["candidates"]) == {"batch", "thread"}
-
-
-# ----------------------------------------------------------------------
-# thread sharding building blocks and optimizer front-ends
-# ----------------------------------------------------------------------
-
-def test_shard_executor_preserves_row_order():
-    population = np.arange(22.0).reshape(11, 2)
-    with BatchShardExecutor(workers=3) as executor:
-        np.testing.assert_array_equal(
-            executor.map_batch(_sphere_batch, population),
-            _sphere_batch(population))
-        np.testing.assert_array_equal(
-            executor.map_batch(_biobjective_batch, population),
-            _biobjective_batch(population))
-        # A single-row population takes the direct (pool-free) path.
-        np.testing.assert_array_equal(
-            executor.map_batch(_sphere_batch, population[:1]),
-            _sphere_batch(population[:1]))
-
-
-def test_shard_executor_rejects_use_after_close():
-    executor = BatchShardExecutor(workers=2)
-    executor.close()
-    with pytest.raises(RuntimeError):
-        executor.map_batch(_sphere_batch, np.ones((4, 2)))
-
-
-def test_nsga2_workers_bit_identical():
-    kwargs = dict(population_size=12, n_generations=6, seed=1)
-    single = nsga2(_batch_problem(), **kwargs)
-    sharded = nsga2(_batch_problem(), workers=2, **kwargs)
-    np.testing.assert_array_equal(sharded.x, single.x)
-    np.testing.assert_array_equal(sharded.objectives, single.objectives)
-    assert sharded.nfev == single.nfev
-
-
-def test_goal_attainment_workers_bit_identical():
-    goals = np.array([0.2, 0.2])
-    kwargs = dict(seed=0, n_probe=16, n_starts=1, tighten_rounds=1)
-    single = goal_attainment_improved(_batch_problem(), goals, **kwargs)
-    sharded = goal_attainment_improved(_batch_problem(), goals, workers=2,
-                                       **kwargs)
-    np.testing.assert_array_equal(sharded.x, single.x)
-    np.testing.assert_array_equal(sharded.objectives, single.objectives)
-    assert sharded.nfev == single.nfev
+    assert set(decisions[0]["candidates"]) == {"batch", "fleet"}

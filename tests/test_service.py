@@ -278,6 +278,15 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec(deadline_s=0.0)
 
+    def test_parallel_knobs_rejected_at_submit(self):
+        # Checked when the spec is built, not after a runner leases it.
+        with pytest.raises(ValueError, match="'thread'"):
+            JobSpec(kind="optimize", backend="thread")
+        with pytest.raises(ValueError, match="workers"):
+            JobSpec(kind="optimize", workers=0)
+        with pytest.raises(TypeError, match="workers"):
+            JobSpec(kind="optimize", workers=1.5)
+
     def test_record_round_trip(self):
         spec = _spec(deadline_s=12.5, workers=2,
                      fault_injection={"p_exit": 0.1})
@@ -468,7 +477,7 @@ class TestJobService:
         root = str(tmp_path / "svc")
         records = [
             e5.submit(root, seed=3, deadline_s=600.0),
-            e6.submit(root, n_points=2, workers=2),
+            e6.submit(root, n_points=2),
             e8.submit(root, profile="fast"),
         ]
         assert [r.spec.experiment for r in records] == [
