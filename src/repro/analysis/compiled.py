@@ -22,15 +22,12 @@ Two entry points:
   tensor directly from a stamp plan and skips circuit construction
   entirely.
 
-Both entry points accept ``solver="dense"|"sparse"|"auto"``.  The
-sparse tier discovers the candidate-*in*dependent structure of the
-batch (entries identical across all B tensors), condenses it through
-:mod:`repro.analysis.sparsemna`'s Schur-complement plan, and solves
-only the small mutable system per candidate — numerically equivalent
-to the dense path to well under 1e-9 relative (enforced by
-``tests/test_random_circuits.py``).  ``"auto"`` picks by a
-deterministic structural cost model; the dense path remains the
-default and the reference.
+Both entry points are the dense tier: full ``(B, F, n, n)`` tensors
+and one LAPACK factorization per candidate and frequency.  The sparse
+tier, which condenses the candidate-independent block once per
+topology, is a compiled-template concern: it needs the stamp groups
+:class:`repro.core.engine.CompiledTemplate` knows and a batch of
+circuits does not (see :mod:`repro.analysis.sparsemna`).
 """
 
 from __future__ import annotations
@@ -47,12 +44,6 @@ from repro.analysis.acsolver import (
 )
 from repro.analysis.conditioning import equilibrated_solve, observe_condition
 from repro.analysis.netlist import Circuit
-from repro.analysis.sparsemna import (
-    MutableGroup,
-    PatternError,
-    build_plan,
-    structural_costs,
-)
 from repro.guards import modes as _guard_modes
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracer as _obs_tracer
@@ -131,7 +122,7 @@ def _port_results(
     noise_sources: Sequence[BatchNoiseSource],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """S-parameters and port noise correlation from the port rows of
-    the MNA solution (shared by the dense and sparse solver tiers)."""
+    the MNA solution."""
     z_loaded = v_ports[..., :n_ports]
     z_loaded_inv = np.linalg.inv(z_loaded)
     g0 = np.eye(n_ports) / z0
@@ -155,71 +146,6 @@ def _port_results(
     return s_out, cy_out
 
 
-def _solve_tensor_sparse(
-    y_batch: np.ndarray,
-    port_rows: np.ndarray,
-    z0: float,
-    rhs: np.ndarray,
-    noise_sources: Sequence[BatchNoiseSource],
-    probe_rows: Sequence[int],
-    require: bool,
-):
-    """The generic sparse/Schur branch of :func:`solve_tensor_batch`.
-
-    The mutable structure is discovered from the batch itself: entries
-    that differ from candidate 0 anywhere become single-entry update
-    groups, everything else is the constant base that the plan
-    condenses.  Returns ``None`` to defer to the dense path — either
-    because ``solver="auto"``'s structural cost model prefers dense
-    (*require* false) or because the pattern cannot support a plan
-    (counted in ``mna.sparse_pattern_fallbacks``).
-    """
-    n_batch, n_freq, n_nodes, _ = y_batch.shape
-    n_ports = port_rows.size
-    base = y_batch[0]
-    mutable = np.any(y_batch != y_batch[:1], axis=(0, 1))
-    rows, cols = np.nonzero(mutable)
-    out_rows = [int(r) for r in port_rows] + [int(r) for r in probe_rows]
-    # The reduced system spans the stamp hull only; untouched
-    # port/probe rows are condensed out by the plan (see build_plan).
-    touched = set(rows.tolist())
-    touched.update(cols.tolist())
-    if not touched:
-        touched = set(out_rows) - {-1}
-    if not require:
-        costs = structural_costs(n_nodes, len(touched), rhs.shape[1],
-                                 len(out_rows))
-        if costs["sparse"] >= costs["dense"]:
-            return None
-    groups, coeffs = [], {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        name = f"e{r}.{c}"
-        groups.append(MutableGroup(
-            name, np.array([r]), np.array([c]), np.array([1.0])
-        ))
-        coeffs[name] = y_batch[:, :, r, c] - base[:, r, c]
-    try:
-        plan = build_plan(base, groups, port_rows, z0, rhs, out_rows)
-    except PatternError:
-        _obs_metrics.inc("mna.sparse_pattern_fallbacks")
-        return None
-    try:
-        sol_rows = plan.solve_rows(coeffs, n_batch, update="full")
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular circuit (floating node or degenerate element): "
-            f"{exc}"
-        ) from None
-    s_out, cy_out = _port_results(sol_rows[..., :n_ports, :], n_ports,
-                                  z0, noise_sources)
-    transfers = None
-    if len(probe_rows):
-        transfers = np.ascontiguousarray(
-            sol_rows[..., n_ports:, :n_ports]
-        )
-    return s_out, cy_out, transfers
-
-
 def solve_tensor_batch(
     y_batch: np.ndarray,
     port_rows: np.ndarray,
@@ -227,7 +153,6 @@ def solve_tensor_batch(
     noise_sources: Sequence[BatchNoiseSource] = (),
     probe_rows: Sequence[int] = (),
     _solve=np.linalg.solve,
-    solver: str = "dense",
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """One batched MNA solve of ``(B, F, n, n)`` admittance tensors.
 
@@ -238,24 +163,12 @@ def solve_tensor_batch(
     (transfers are ``None`` when no probe rows are requested).  Raises
     ``ValueError`` on singular topology, like the scalar solver.
 
-    ``solver`` selects the factorization tier: ``"dense"`` (the
-    reference), ``"sparse"`` (Schur-condense the candidate-independent
-    structure, see :mod:`repro.analysis.sparsemna`), or ``"auto"``
-    (deterministic structural cost model).  The sparse tier agrees
-    with dense to well under 1e-9 relative and falls back to dense
-    when the batch has no exploitable structure.  ``_solve`` is the
-    linear-solver hook the conditioning escalation swaps for
-    :func:`repro.analysis.conditioning.equilibrated_solve`; a
-    non-default hook forces the dense tier (escalation is a dense-path
-    contract).
+    ``_solve`` is the linear-solver hook the conditioning escalation
+    swaps for :func:`repro.analysis.conditioning.equilibrated_solve`.
     """
     if y_batch.ndim != 4 or y_batch.shape[-1] != y_batch.shape[-2]:
         raise ValueError(
             f"expected (B, F, n, n) admittance tensor, got {y_batch.shape}"
-        )
-    if solver not in ("dense", "sparse", "auto"):
-        raise ValueError(
-            f"solver must be 'dense', 'sparse', or 'auto', got {solver!r}"
         )
     n_batch, n_freq, n_nodes, _ = y_batch.shape
     port_rows = np.asarray(port_rows, dtype=int)
@@ -269,14 +182,6 @@ def solve_tensor_batch(
     for src in noise_sources:
         rhs[:, col:col + src.width] = src.columns
         col += src.width
-
-    if solver != "dense" and _solve is np.linalg.solve:
-        result = _solve_tensor_sparse(
-            y_batch, port_rows, z0, rhs, noise_sources, probe_rows,
-            require=solver == "sparse",
-        )
-        if result is not None:
-            return result
 
     # Reference loads go onto a copy: the caller's tensor stays
     # bit-identical (callers used to scatter defensive .copy() calls
@@ -371,17 +276,14 @@ def solve_tensor_batch_isolated(
     z0: float,
     noise_sources: Sequence[BatchNoiseSource] = (),
     probe_rows: Sequence[int] = (),
-    solver: str = "dense",
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """:func:`solve_tensor_batch` with per-candidate failure isolation.
 
-    The fast path is the ordinary full-batch factorization through the
-    selected *solver* tier.  When it raises on a singular candidate,
-    each row is re-solved on its own (always through the dense tier —
-    single-row rescue has no structure to exploit), so one degenerate
-    design can no longer fail the whole population; rows that are
-    singular (or produce non-finite results) come back zero-filled
-    with their ``failed`` flag set.  *y_batch* is never mutated — the
+    The fast path is the ordinary full-batch factorization.  When it
+    raises on a singular candidate, each row is re-solved on its own,
+    so one degenerate design can no longer fail the whole population;
+    rows that are singular (or produce non-finite results) come back
+    zero-filled with their ``failed`` flag set.  *y_batch* is never mutated — the
     kernel adds reference loads to internal copies.
 
     Returns ``(s, cy, node_transfers, failed)`` where ``failed`` is a
@@ -407,7 +309,6 @@ def solve_tensor_batch_isolated(
         try:
             s, cy, transfers = solve_tensor_batch(
                 y_batch, port_rows, z0, noise_sources, probe_rows,
-                solver=solver,
             )
         except (ValueError, np.linalg.LinAlgError):
             pass  # fall through to the per-row path below
@@ -484,16 +385,13 @@ def solve_tensor_batch_isolated(
 
 def solve_ac_batch(circuits: Sequence[Circuit], frequency: FrequencyGrid,
                    compute_noise: bool = True,
-                   probe_nodes: tuple = (),
-                   solver: str = "dense") -> BatchACResult:
+                   probe_nodes: tuple = ()) -> BatchACResult:
     """Run AC + noise analysis of a batch of same-topology circuits.
 
     Every circuit must share node names, element structure, and port
     declarations with the first one — only element *values* may differ.
     The result matches ``[solve_ac(c, frequency) for c in circuits]``
     to floating-point roundoff at a fraction of the Python overhead.
-    ``solver`` selects the factorization tier of
-    :func:`solve_tensor_batch`.
     """
     if not len(circuits):
         raise ValueError("need at least one circuit to solve")
@@ -557,7 +455,7 @@ def solve_ac_batch(circuits: Sequence[Circuit], frequency: FrequencyGrid,
             noise_sources.append(BatchNoiseSource(columns, psd))
 
     s_out, cy_out, transfers = solve_tensor_batch(
-        y_batch, port_rows, z0, noise_sources, probe_rows, solver=solver
+        y_batch, port_rows, z0, noise_sources, probe_rows
     )
     return BatchACResult(
         frequency=frequency, s=s_out, cy=cy_out, z0=z0,

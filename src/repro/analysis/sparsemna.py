@@ -34,9 +34,9 @@ swapped coordinates), so no ``(B, F, m, m)`` transpose copy is ever
 made, and the final contraction is a plain broadcast ``matmul`` —
 einsum-shaped, GPU-portable, no Python per-candidate loops.
 
-Everything here is topology-level machinery; solver selection, noise
-post-processing, and failure isolation live with the callers
-(:mod:`repro.analysis.compiled`, :mod:`repro.core.engine`).
+Everything here is topology-level machinery; tier selection, noise
+post-processing, and failure isolation live with the one caller,
+:class:`repro.core.engine.CompiledTemplate` (``solver="sparse"``).
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def structural_costs(n_nodes: int, n_reduced: int, n_rhs: int,
     ``(m, m)`` LU with ``n_out`` adjoint columns, and the transfer
     contraction.  Plan compilation (the per-topology splu sweep) is
     excluded — it amortizes over the whole run.  The estimates are pure
-    integer arithmetic on structure, so every process compiling the
-    same topology makes the identical ``solver="auto"`` choice.
+    arithmetic on structure, independent of timing, so they serve as
+    a reproducible work count for each tier.
     """
     n, m = float(n_nodes), float(n_reduced)
     dense = (2.0 / 3.0) * n ** 3 + n ** 2 * n_rhs

@@ -75,12 +75,11 @@ class DesignFlow:
 
     def __init__(self, device: PHEMTSmallSignal,
                  spec: Optional[DesignSpec] = None,
-                 template: Optional[AmplifierTemplate] = None,
-                 engine: str = "compiled"):
+                 template: Optional[AmplifierTemplate] = None):
         self.device = device
         self.spec = spec or DesignSpec()
         self.template = template or AmplifierTemplate(device)
-        self.evaluator = LnaEvaluator(self.template, engine=engine)
+        self.evaluator = LnaEvaluator(self.template)
         self.problem = build_lna_problem(self.template, self.spec,
                                          self.evaluator)
 

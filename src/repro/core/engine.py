@@ -25,6 +25,15 @@ grid *and* the stability guard grid for all candidates at once (the two
 grids are fused along the frequency axis; rows are independent in MNA,
 so the fused solve is exact).
 
+The constructor is the one place a solve tier is chosen:
+``CompiledTemplate(..., solver="dense")`` (the default, used by
+:class:`~repro.core.objectives.LnaEvaluator`) stamps and solves full
+tensors as above; ``solver="sparse"`` (used by the robust corner sweeps
+of :mod:`repro.optimize.robust` and :mod:`repro.core.tolerance`)
+condenses the candidate-independent block once through
+:mod:`repro.analysis.sparsemna` and solves only the small mutable
+system per candidate.
+
 Element values are computed by the *same* component models as the
 scalar path (:mod:`repro.passives.rlc` factories, the device's DC and
 capacitance models), evaluated on ``(B, 1)`` value arrays, so the
@@ -53,12 +62,7 @@ from repro.analysis.compiled import (
     solve_tensor_batch_isolated,
 )
 from repro.analysis.conditioning import observe_condition
-from repro.analysis.sparsemna import (
-    MutableGroup,
-    PatternError,
-    build_plan,
-    structural_costs,
-)
+from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.analysis.netlist import (
     Capacitor,
     NoiseCurrent,
@@ -204,19 +208,18 @@ class CompiledTemplate:
         design points (recommended; a few scalar solves at compile
         time).
     solver:
-        Factorization tier for the batched MNA solves.  ``"dense"``
-        (default, the reference path) stamps full ``(B, F, n, n)``
-        tensors; ``"sparse"`` compiles a Schur-condensed plan
+        Factorization tier for the batched MNA solves, and the one
+        place a tier is chosen.  ``"dense"`` (default, the reference
+        path) stamps full ``(B, F, n, n)`` tensors; ``"sparse"``
+        compiles a Schur-condensed plan
         (:mod:`repro.analysis.sparsemna`) — the candidate-independent
         block is LU-factorized once per topology per frequency with a
         shared CSC pattern, and per candidate only the small reduced
         system is refactorized (or Sherman-Morrison-updated when few
-        stamp groups vary).  ``"auto"`` picks by a deterministic
-        structural cost model, so every process compiling the same
-        template resolves identically; the decision is journaled as a
-        ``solver_decision`` event.  The sparse tier agrees with dense
-        to well under 1e-9 relative and is verified against the scalar
-        path by the same compile-time probes.
+        stamp groups vary).  The sparse tier agrees with dense to well
+        under 1e-9 relative and is verified against the scalar path by
+        the same compile-time probes; a template whose structure cannot
+        be condensed raises :class:`CompileError`.
 
     A compiled template must be used by one thread at a time: its
     sparse plan reuses scratch buffers across calls, and so does the
@@ -229,10 +232,9 @@ class CompiledTemplate:
                  guard_grid: Optional[FrequencyGrid] = None,
                  verify: bool = True,
                  solver: str = "dense"):
-        if solver not in ("dense", "sparse", "auto"):
+        if solver not in ("dense", "sparse"):
             raise ValueError(
-                f"solver must be 'dense', 'sparse', or 'auto', "
-                f"got {solver!r}"
+                f"solver must be 'dense' or 'sparse', got {solver!r}"
             )
         self.template = template
         self.solver = solver
@@ -246,7 +248,14 @@ class CompiledTemplate:
                                         self.guard_grid.f_hz])
         self._compile()
         self._plan = None
-        self._solver_resolved = self._resolve_solver()
+        if solver == "sparse":
+            try:
+                self._plan = self._build_sparse_plan()
+            except PatternError as exc:
+                raise CompileError(
+                    f"solver='sparse' requested but the template's "
+                    f"structure cannot be condensed: {exc}"
+                ) from None
         if verify:
             self._verify()
 
@@ -380,57 +389,6 @@ class CompiledTemplate:
                          signs.astype(float))
 
     # -- sparse plan --------------------------------------------------------
-    def _noise_column_count(self) -> int:
-        return (
-            sum(src.columns.shape[1] for src in self._const_noise)
-            + len(self._scalar_noise)
-            + sum(c.shape[1] for _, c in self._block_noise)
-        )
-
-    def _resolve_solver(self) -> str:
-        """Pick and prepare the factorization tier.
-
-        ``"auto"`` resolves through :func:`structural_costs` — a pure
-        function of the stamp structure, never of timing — so a fleet
-        worker recompiling this template makes the identical choice,
-        and its rows stay bit-identical to the parent's.  The decision
-        is journaled like the population-backend ``backend_decision``.
-        """
-        if self.solver == "dense":
-            return "dense"
-        touched = set()
-        for slot in self._slots.values():
-            touched.update(slot.rows.tolist())
-            touched.update(slot.cols.tolist())
-        if not touched:
-            touched = set(int(r) for r in self._port_rows)
-        n_rhs = self._port_rows.size + self._noise_column_count()
-        costs = structural_costs(self._n_nodes, len(touched), n_rhs,
-                                 self._port_rows.size)
-        if self.solver == "auto":
-            chosen = "sparse" if costs["sparse"] < costs["dense"] else "dense"
-            _obs_journal.emit(
-                "solver_decision",
-                chosen=chosen,
-                candidates={k: float(v) for k, v in costs.items()},
-                n_nodes=int(self._n_nodes),
-                n_reduced=len(touched),
-                rhs_columns=int(n_rhs),
-            )
-            if chosen == "dense":
-                return "dense"
-        try:
-            self._plan = self._build_sparse_plan()
-        except PatternError as exc:
-            if self.solver == "sparse":
-                raise CompileError(
-                    f"solver='sparse' requested but the template's "
-                    f"structure cannot be condensed: {exc}"
-                ) from None
-            _obs_metrics.inc("mna.sparse_pattern_fallbacks")
-            return "dense"
-        return "sparse"
-
     def _build_sparse_plan(self):
         """Compile the Schur-condensed plan over the fused grid.
 
@@ -441,10 +399,12 @@ class CompiledTemplate:
         recorded for the fused noise-correlation assembly.
         """
         n_ports = self._port_rows.size
-        rhs = np.zeros(
-            (self._n_nodes, n_ports + self._noise_column_count()),
-            dtype=complex,
+        n_noise = (
+            sum(src.columns.shape[1] for src in self._const_noise)
+            + len(self._scalar_noise)
+            + sum(c.shape[1] for _, c in self._block_noise)
         )
+        rhs = np.zeros((self._n_nodes, n_ports + n_noise), dtype=complex)
         for col, row in enumerate(self._port_rows):
             rhs[row, col] = 1.0
         n_band = self._n_band
@@ -687,7 +647,7 @@ class CompiledTemplate:
         n_batch = x_physical.shape[0]
         values = self._candidate_values(x_physical)
         ids = values[3]
-        if self._solver_resolved == "sparse":
+        if self.solver == "sparse":
             # One condensed adjoint solve of the whole fused axis; the
             # noise columns ride in the precomputed reduced RHS.
             admittances, scalar_psds, block_psds = values[:3]
@@ -925,7 +885,7 @@ class CompiledTemplate:
         (admittances, scalar_psds, block_psds, ids,
          bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
         n_band = self._n_band
-        if self._solver_resolved == "sparse":
+        if self.solver == "sparse":
             s, cy_band, solver_failed = self._isolated_sparse(
                 n_batch, admittances, scalar_psds, block_psds
             )

@@ -7,7 +7,7 @@ meeting the shipping spec — the standard post-design step that decides
 whether the optimized point is *robust*, not just optimal.
 
 The default ``engine="batched"`` evaluates every sampled board in one
-batched MNA factorization (via
+batched sparse-tier MNA solve (via
 :meth:`repro.core.engine.CompiledTemplate.performance_batch_physical_isolated`
 on a Monte-Carlo :class:`~repro.optimize.robust.CornerSet` that draws
 the exact RNG sequence of the scalar loop); ``engine="scalar"`` keeps
@@ -202,7 +202,7 @@ def _batched_trials(template, nominal, tolerances, n_trials, rng,
     x_trials = corners.apply(nominal.to_vector())
     if compiled is None:
         compiled = CompiledTemplate(template, band_grid, guard_grid,
-                                    verify=False, solver="auto")
+                                    verify=False, solver="sparse")
     batch, trial_failures, _ = (
         compiled.performance_batch_physical_isolated(x_trials))
     quarantined = np.array([f is not None for f in trial_failures])

@@ -1,9 +1,12 @@
 """Shared fixtures for the experiment drivers.
 
 Experiments E8-E11 all analyze the *selected design*, which is the
-output of one (expensive) improved-goal-attainment run.  It is computed
-once per process and cached here so the benchmark modules do not repeat
-the optimization four times.
+output of one (expensive) improved-goal-attainment run.  The finished
+design is cached per process here so the benchmark modules do not
+repeat the optimization four times.  Only the result is shared: every
+computation builds its own :class:`DesignFlow`, because a flow's
+evaluator (its cache and compiled engine) must be driven by one thread
+at a time, and job-service slots are threads.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import lru_cache
 from repro.core.design import DesignFlow, FinalDesign
 from repro.devices.reference import ReferencePHEMT, make_reference_device
 
-__all__ = ["reference_device", "design_flow", "selected_design"]
+__all__ = ["reference_device", "selected_design"]
 
 
 @lru_cache(maxsize=1)
@@ -23,14 +26,7 @@ def reference_device() -> ReferencePHEMT:
 
 
 @lru_cache(maxsize=2)
-def design_flow(engine: str = "compiled") -> DesignFlow:
-    """A design flow bound to the golden device."""
-    return DesignFlow(reference_device().small_signal, engine=engine)
-
-
-@lru_cache(maxsize=4)
-def selected_design(profile: str = "full",
-                    engine: str = "compiled") -> FinalDesign:
+def selected_design(profile: str = "full") -> FinalDesign:
     """The selected design, finalized (snapped + verified).
 
     ``profile="full"`` runs the improved goal-attainment method at the
@@ -38,7 +34,7 @@ def selected_design(profile: str = "full",
     a cheaper design of the same topology used by the test suite to
     exercise E8-E11 without the full optimization cost.
     """
-    flow = design_flow(engine)
+    flow = DesignFlow(reference_device().small_signal)
     if profile == "full":
         result = flow.run_improved(seed=11, n_probe=40, n_starts=3,
                                    tighten_rounds=2)

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.core.evaluation import MeasuredPerformance, simulate_measurement
 from repro.core.report import format_series
-from repro.experiments.common import design_flow, selected_design
+from repro.core.amplifier import AmplifierTemplate
+from repro.experiments.common import reference_device, selected_design
 from repro.rf.frequency import FrequencyGrid
 
 __all__ = ["E10Result", "run", "format_report"]
@@ -31,7 +32,7 @@ class E10Result:
 def run(n_points: int = 31, profile: str = "full") -> E10Result:
     """Measure the snapped design's noise figure on the simulated bench."""
     design = selected_design(profile)
-    template = design_flow().template
+    template = AmplifierTemplate(reference_device().small_signal)
     frequency = FrequencyGrid.linear(1.1e9, 1.7e9, n_points)
     measurement = simulate_measurement(template, design.snapped, frequency)
     return E10Result(

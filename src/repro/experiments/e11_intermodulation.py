@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.core.intermod import TwoToneResult, two_tone_analysis
 from repro.core.report import format_series, format_table
-from repro.experiments.common import design_flow, selected_design
+from repro.core.amplifier import AmplifierTemplate
+from repro.experiments.common import reference_device, selected_design
 
 __all__ = ["E11Result", "run", "format_report"]
 
@@ -30,7 +31,7 @@ def run(frequencies=(1.2e9, 1.4e9, 1.6e9),
         profile: str = "full") -> E11Result:
     """Two-tone analysis at several in-band centre frequencies."""
     design = selected_design(profile)
-    template = design_flow().template
+    template = AmplifierTemplate(reference_device().small_signal)
     results = [
         two_tone_analysis(template, design.snapped, f_center=f)
         for f in frequencies

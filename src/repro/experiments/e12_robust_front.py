@@ -81,7 +81,6 @@ def run(population_size: int = 24, n_generations: int = 25,
         n_trials: int = 8, seed: int = 0,
         tolerances: Optional[ToleranceSpec] = None,
         spec: Optional[DesignSpec] = None,
-        solver: str = "auto",
         screen_fraction: float = 0.5,
         min_screen_history: int = 24,
         n_band: int = 9, n_guard: int = 12,
@@ -136,7 +135,6 @@ def run(population_size: int = 24, n_generations: int = 25,
             seed=seed,
             band_grid=design_grid(n_band),
             guard_grid=stability_grid(n_guard),
-            solver=solver,
             nf_ship_limit_db=nf_ship_limit_db,
             gt_ship_limit_db=gt_ship_limit_db,
             screen_fraction=screen_fraction,

@@ -26,7 +26,7 @@ from repro.obs.runs import recorded_run
 __all__ = ["E5Result", "run", "submit", "format_report"]
 
 
-def submit(service, seed: int = 0, engine: str = "compiled",
+def submit(service, seed: int = 0,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit this experiment to a job service instead of running inline.
@@ -38,7 +38,7 @@ def submit(service, seed: int = 0, engine: str = "compiled",
     retry handled by the supervisor.
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(seed=seed, engine=engine, **run_kwargs)
+    kwargs = dict(seed=seed, **run_kwargs)
     return submit_experiment(service, "e5_optimizer_comparison", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -50,14 +50,11 @@ class E5Result:
     goals: np.ndarray
 
 
-def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
+def run(seed: int = 0, goals=DEFAULT_GOALS,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E5Result:
     """Run the three optimizers on a fresh LNA problem each.
 
-    ``engine`` selects the evaluation path ("compiled" batches the
-    improved method's probe stage through one MNA factorization;
-    "scalar" forces the original per-candidate circuit build).
     ``record_to`` names a runs root: the experiment is then recorded as
     a run directory (flight-recorder journal + metrics/trace exports,
     see :mod:`repro.obs.runs`) addressable with ``repro-obs``.
@@ -69,8 +66,7 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
     """
     goals = np.asarray(goals, dtype=float)
     rows = []
-    config = {"experiment": "e5", "engine": engine,
-              "goals": goals.tolist()}
+    config = {"experiment": "e5", "goals": goals.tolist()}
 
     def record(name, flow, result):
         perf = flow.evaluator.performance(result.x)
@@ -99,7 +95,7 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
                                           population_size=40)
 
         with _obs_tracer.span("e5.improved_goal_attainment"):
-            flow = DesignFlow(device.small_signal, engine=engine)
+            flow = DesignFlow(device.small_signal)
             record("improved goal attainment", flow,
                    flow.run_improved(goals=goals, seed=seed, n_probe=40,
                                      n_starts=3, tighten_rounds=2,
@@ -107,12 +103,12 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
                                      on_generation=journal))
 
         with _obs_tracer.span("e5.standard_goal_attainment"):
-            flow = DesignFlow(device.small_signal, engine=engine)
+            flow = DesignFlow(device.small_signal)
             record("standard goal attainment", flow,
                    flow.run_standard(goals=goals))
 
         with _obs_tracer.span("e5.weighted_sum"):
-            flow = DesignFlow(device.small_signal, engine=engine)
+            flow = DesignFlow(device.small_signal)
             record("weighted sum", flow,
                    flow.run_weighted_sum(weights=(1.0, 0.1), seed=seed,
                                          n_starts=4))

@@ -28,7 +28,6 @@ __all__ = ["E6Result", "run", "submit", "format_report"]
 
 
 def submit(service, n_points: int = 5, seed: int = 0,
-           engine: str = "compiled",
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit the front sweep to a job service instead of running inline.
@@ -38,8 +37,7 @@ def submit(service, n_points: int = 5, seed: int = 0,
     retry, crash recovery).
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(n_points=n_points, seed=seed, engine=engine,
-                  **run_kwargs)
+    kwargs = dict(n_points=n_points, seed=seed, **run_kwargs)
     return submit_experiment(service, "e6_tradeoff_front", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -55,7 +53,7 @@ class E6Result:
     reference: np.ndarray
 
 
-def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
+def run(n_points: int = 5, seed: int = 0,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E6Result:
     """Trace the front with both methods.
@@ -66,8 +64,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
     population seeds every goal point's probe stage (see
     :func:`repro.obs.analytics.warm_start_population`).
     """
-    config = {"experiment": "e6", "engine": engine,
-              "n_points": int(n_points)}
+    config = {"experiment": "e6", "n_points": int(n_points)}
     recording = (
         recorded_run(record_to, name="e6", config=config,
                      seeds={"seed": int(seed)})
@@ -89,7 +86,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
         for k, (nf_goal, gt_goal) in enumerate(zip(nf_goals, gt_goals)):
             with _obs_tracer.span("e6.goal_point", index=k,
                                   nf_goal=float(nf_goal)):
-                flow = DesignFlow(device.small_signal, engine=engine)
+                flow = DesignFlow(device.small_signal)
                 result = flow.run_improved(
                     goals=np.array([nf_goal, -gt_goal]), seed=seed,
                     n_probe=32, n_starts=2, tighten_rounds=1,
@@ -103,7 +100,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
         wsum_points = []
         for k, w_nf in enumerate(np.linspace(0.1, 4.0, n_points)):
             with _obs_tracer.span("e6.wsum_point", index=k):
-                flow = DesignFlow(device.small_signal, engine=engine)
+                flow = DesignFlow(device.small_signal)
                 result = flow.run_weighted_sum(weights=(w_nf, 0.2),
                                                seed=seed, n_starts=3)
             if result.constraint_violation <= 1e-6:

@@ -21,7 +21,7 @@ from repro.obs.runs import recorded_run
 __all__ = ["E8Result", "run", "submit", "format_report"]
 
 
-def submit(service, profile: str = "full", engine: str = "compiled",
+def submit(service, profile: str = "full",
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit the selected-design run to a job service.
@@ -31,7 +31,7 @@ def submit(service, profile: str = "full", engine: str = "compiled",
     retry, crash recovery).
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(profile=profile, engine=engine, **run_kwargs)
+    kwargs = dict(profile=profile, **run_kwargs)
     return submit_experiment(service, "e8_selected_design", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -42,7 +42,7 @@ class E8Result:
     design: FinalDesign
 
 
-def run(profile: str = "full", engine: str = "compiled",
+def run(profile: str = "full",
         record_to: Optional[str] = None) -> E8Result:
     """Fetch (or compute) the cached selected design.
 
@@ -52,13 +52,12 @@ def run(profile: str = "full", engine: str = "compiled",
     """
     if record_to is None:
         with _obs_tracer.span("e8.run", profile=profile):
-            return E8Result(design=selected_design(profile, engine))
+            return E8Result(design=selected_design(profile))
     with recorded_run(record_to, name="e8",
-                      config={"experiment": "e8", "engine": engine,
-                              "profile": profile},
+                      config={"experiment": "e8", "profile": profile},
                       seeds={"seed": 11}) as run_dir, \
             _obs_tracer.span("e8.run", profile=profile):
-        flow = DesignFlow(reference_device().small_signal, engine=engine)
+        flow = DesignFlow(reference_device().small_signal)
         if profile == "full":
             result = flow.run_improved(
                 seed=11, n_probe=40, n_starts=3, tighten_rounds=2,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from repro.core.evaluation import MeasuredPerformance, simulate_measurement
 from repro.core.report import format_series
-from repro.experiments.common import design_flow, selected_design
+from repro.core.amplifier import AmplifierTemplate
+from repro.experiments.common import reference_device, selected_design
 from repro.rf.frequency import FrequencyGrid
 
 __all__ = ["E9Result", "run", "format_report"]
@@ -28,7 +29,7 @@ class E9Result:
 def run(n_points: int = 41, profile: str = "full") -> E9Result:
     """Measure the snapped selected design on the simulated bench."""
     design = selected_design(profile)
-    template = design_flow().template
+    template = AmplifierTemplate(reference_device().small_signal)
     frequency = FrequencyGrid.linear(1.0e9, 1.8e9, n_points)
     measurement = simulate_measurement(template, design.snapped, frequency)
     return E9Result(

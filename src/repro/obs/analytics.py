@@ -20,7 +20,7 @@ replaying every journal on every question.  Three layers:
 * :class:`FleetView` — queries over the indexed entries: filters by
   algorithm / experiment / config fingerprint / outcome, fleet
   roll-ups (failure taxonomy, guard violations, cache-hit and
-  Woodbury-engagement and equilibrated-rescue rates, backend/solver
+  Woodbury-engagement and equilibrated-rescue rates, backend
   decision tallies), aggregate convergence envelopes (per-generation
   median/IQR resampled onto a common grid), and ``nearest_runs`` —
   config-distance matching that powers warm starts.
@@ -72,10 +72,10 @@ INDEX_VERSION = 1
 INDEX_NAME = "_index.jsonl"
 
 #: Decision events tallied into each entry (all carry a categorical
-#: outcome field — ``chosen`` for backend/solver, ``mode`` for the
+#: outcome field — ``chosen`` for the backend, ``mode`` for the
 #: surrogate screen, ``accepted`` for warm starts).
-_DECISION_EVENTS = ("backend_decision", "solver_decision",
-                    "screen_decision", "warmstart_decision")
+_DECISION_EVENTS = ("backend_decision", "screen_decision",
+                    "warmstart_decision")
 
 #: Rewrite (compact) the index once dead lines — superseded entries of
 #: reindexed runs, entries of deleted runs, corrupt lines — outnumber

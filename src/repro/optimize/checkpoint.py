@@ -25,7 +25,8 @@ have:
 
 * every snapshot is framed with a magic tag, a schema version, and a
   CRC32 of the pickle payload, so truncation or bit rot is *detected*
-  instead of resumed from;
+  instead of resumed from; a file without the frame is corrupt too,
+  and is never unpickled;
 * the previously good snapshot is rotated to ``<path>.prev`` on every
   save, so a corrupt primary file quarantines to ``<path>.corrupt``
   and resume falls back to the last good checkpoint instead of
@@ -223,26 +224,27 @@ class FileCheckpointStore(CheckpointStore):
 
     @staticmethod
     def _parse(path: str, data: bytes) -> Checkpoint:
-        if data.startswith(_MAGIC):
-            header_end = len(_MAGIC) + _HEADER.size
-            if len(data) < header_end:
-                raise CheckpointError(
-                    f"checkpoint file {path!r} is truncated inside the header"
-                )
-            version, crc = _HEADER.unpack(data[len(_MAGIC):header_end])
-            if version > SCHEMA_VERSION:
-                raise CheckpointError(
-                    f"checkpoint file {path!r} has schema version {version}, "
-                    f"newer than supported {SCHEMA_VERSION}"
-                )
-            blob = data[header_end:]
-            if zlib.crc32(blob) != crc:
-                raise CheckpointError(
-                    f"checkpoint file {path!r} failed its CRC32 check "
-                    f"(truncated or bit-flipped)"
-                )
-        else:
-            blob = data  # legacy plain-pickle file from earlier releases
+        if not data.startswith(_MAGIC):
+            raise CheckpointError(
+                f"checkpoint file {path!r} lacks the {_MAGIC!r} header"
+            )
+        header_end = len(_MAGIC) + _HEADER.size
+        if len(data) < header_end:
+            raise CheckpointError(
+                f"checkpoint file {path!r} is truncated inside the header"
+            )
+        version, crc = _HEADER.unpack(data[len(_MAGIC):header_end])
+        if version > SCHEMA_VERSION:
+            raise CheckpointError(
+                f"checkpoint file {path!r} has schema version {version}, "
+                f"newer than supported {SCHEMA_VERSION}"
+            )
+        blob = data[header_end:]
+        if zlib.crc32(blob) != crc:
+            raise CheckpointError(
+                f"checkpoint file {path!r} failed its CRC32 check "
+                f"(truncated or bit-flipped)"
+            )
         try:
             checkpoint = pickle.loads(blob)
         except Exception as exc:  # noqa: BLE001 - any unpickle fault = corrupt

@@ -18,8 +18,9 @@ first-class optimization objectives:
 * :class:`RobustEvaluator` — evaluates one candidate's **entire**
   corner set as a single
   :meth:`~repro.core.engine.CompiledTemplate.performance_batch_physical_isolated`
-  call, so a 64-corner sweep costs one batched MNA factorization, not
-  64 scalar circuit builds.  Corner failures quarantine through the
+  call on the sparse tier (``CompiledTemplate(..., solver="sparse")``),
+  so a 64-corner sweep costs one condensed batched MNA solve, not 64
+  scalar circuit builds.  Corner failures quarantine through the
   :class:`~repro.optimize.faults.EvaluationFailure` taxonomy with the
   healthy corners bit-identical to an all-healthy sweep.
 * :class:`QuadraticSurrogate` — a deterministic numpy-only ridge
@@ -27,8 +28,7 @@ first-class optimization objectives:
   generation: only the most promising ``screen_fraction`` of
   candidates pays for a full corner sweep, the rest carry clipped
   surrogate predictions.  Every screen decision is journaled as a
-  ``screen_decision`` event (the sibling of ``backend_decision`` /
-  ``solver_decision``).
+  ``screen_decision`` event (the sibling of ``backend_decision``).
 * :func:`build_robust_problem` — the three-objective
   ``(NFworst, -GTworst, -yield)`` problem for NSGA-II / goal
   attainment, with the nominal design constraints intact; and
@@ -468,7 +468,6 @@ class RobustEvaluator:
                  seed: Optional[int] = 0,
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
-                 solver: str = "auto",
                  nf_ship_limit_db: float = 0.8,
                  gt_ship_limit_db: float = 13.0,
                  mu_ship: float = 1.0,
@@ -483,7 +482,7 @@ class RobustEvaluator:
         self.guard_grid = guard_grid or stability_grid(16)
         self._compiled = compiled or CompiledTemplate(
             template, self.band_grid, self.guard_grid,
-            verify=False, solver=solver,
+            verify=False, solver="sparse",
         )
         self.nf_ship_limit_db = float(nf_ship_limit_db)
         self.gt_ship_limit_db = float(gt_ship_limit_db)
@@ -772,7 +771,6 @@ class RobustScalarObjective:
                  seed: Optional[int] = 0,
                  yield_weight: float = 5.0,
                  n_band: int = 9, n_guard: int = 12,
-                 solver: str = "auto",
                  nf_ship_limit_db: float = 0.8,
                  gt_ship_limit_db: float = 13.0):
         self.template = template
@@ -782,7 +780,6 @@ class RobustScalarObjective:
         self.yield_weight = float(yield_weight)
         self.n_band = int(n_band)
         self.n_guard = int(n_guard)
-        self.solver = str(solver)
         self.nf_ship_limit_db = float(nf_ship_limit_db)
         self.gt_ship_limit_db = float(gt_ship_limit_db)
         self._evaluator: Optional[RobustEvaluator] = None
@@ -801,7 +798,6 @@ class RobustScalarObjective:
                 seed=self.seed,
                 band_grid=design_grid(self.n_band),
                 guard_grid=stability_grid(self.n_guard),
-                solver=self.solver,
                 nf_ship_limit_db=self.nf_ship_limit_db,
                 gt_ship_limit_db=self.gt_ship_limit_db,
             )

@@ -9,6 +9,7 @@ complete algorithm state including the RNG bit-generator state.
 import os
 import pickle
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from repro.optimize import (
     nsga2,
     particle_swarm,
 )
-from repro.optimize.checkpoint import Checkpoint, resume_or_none
+from repro.optimize.checkpoint import (
+    _HEADER,
+    _MAGIC,
+    SCHEMA_VERSION,
+    Checkpoint,
+    resume_or_none,
+)
 from repro.optimize.goal_attainment import (
     MultiObjectiveProblem,
     goal_attainment_improved,
@@ -124,8 +131,10 @@ def test_file_store_corrupt_raises_in_strict_mode(tmp_path):
 
 def test_file_store_wrong_object_quarantined(tmp_path):
     path = tmp_path / "run.ckpt"
-    path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
-    with pytest.warns(UserWarning, match="quarantin"):
+    blob = pickle.dumps({"not": "a checkpoint"})
+    path.write_bytes(_MAGIC + _HEADER.pack(SCHEMA_VERSION, zlib.crc32(blob))
+                     + blob)
+    with pytest.warns(UserWarning, match="does not contain a Checkpoint"):
         assert FileCheckpointStore(str(path)).load() is None
     assert (tmp_path / "run.ckpt.corrupt").exists()
 
@@ -156,11 +165,15 @@ def test_file_store_falls_back_to_previous_good(tmp_path):
     assert (tmp_path / "run.ckpt.corrupt").exists()
 
 
-def test_file_store_legacy_plain_pickle_still_loads(tmp_path):
+def test_file_store_headerless_pickle_quarantined(tmp_path):
+    # A valid Checkpoint pickled without the RPCK frame is never
+    # unpickled: no CRC vouches for it.
     path = tmp_path / "run.ckpt"
     path.write_bytes(pickle.dumps(Checkpoint("pso", 9, None, {})))
-    loaded = FileCheckpointStore(str(path)).load()
-    assert loaded is not None and loaded.iteration == 9
+    with pytest.warns(UserWarning, match="header"):
+        assert FileCheckpointStore(str(path)).load() is None
+    assert not path.exists()
+    assert (tmp_path / "run.ckpt.corrupt").exists()
 
 
 def test_file_store_retries_transient_oserror(tmp_path, monkeypatch):

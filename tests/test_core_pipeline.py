@@ -25,6 +25,13 @@ def standard_result(flow):
 
 
 class TestDesignFlow:
+    def test_nominal_flow_uses_the_dense_tier(self, flow):
+        # SLSQP's finite-difference gradients see the sparse tier's
+        # roundoff; the nominal flow stays dense until gradients are
+        # exact.
+        assert flow.evaluator.engine == "compiled"
+        assert flow.evaluator._compiled.solver == "dense"
+
     def test_standard_run_feasible(self, flow, standard_result):
         assert standard_result.constraint_violation <= 1e-6
         assert standard_result.objectives[0] < 1.0        # NFmax < 1 dB

@@ -116,3 +116,44 @@ class TestSelectedDesignExperiments:
         assert two_tone.im3_slope() == pytest.approx(3.0, abs=1e-6)
         assert two_tone.oip3_dbm > 10.0
         assert "Table V" in e11_intermodulation.format_report(result)
+
+
+def test_selected_design_threads_build_their_own_flow(monkeypatch):
+    # Job-service slots are threads: two concurrent computations of the
+    # selected design must not share an evaluator, so each builds its
+    # own flow and matches a solo run exactly.
+    import threading
+
+    from repro.experiments import common
+
+    built = []
+
+    class RecordingFlow(common.DesignFlow):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(common, "DesignFlow", RecordingFlow)
+    compute = common.selected_design.__wrapped__
+    solo = compute("fast")
+    results = [None, None]
+    errors = []
+
+    def worker(slot):
+        try:
+            results[slot] = compute("fast")
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors
+    assert len(built) == 3
+    for design in results:
+        np.testing.assert_array_equal(design.snapped.to_vector(),
+                                      solo.snapped.to_vector())
+        assert (design.snapped_performance.nf_max_db
+                == solo.snapped_performance.nf_max_db)

@@ -14,11 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.acsolver import assemble_tensor, solve_ac
-from repro.analysis.compiled import (
-    solve_ac_batch,
-    solve_tensor_batch,
-    solve_tensor_batch_isolated,
-)
+from repro.analysis.compiled import solve_ac_batch
 from repro.analysis.netlist import Circuit
 from repro.analysis.sparsemna import MutableGroup, build_plan
 from repro.rf.frequency import FrequencyGrid
@@ -174,36 +170,76 @@ class TestBatchedSolverEquivalence:
             solve_ac_batch(circuits, GRID)
 
 
+class _PartialRescale:
+    """A *value_rng* that rescales only some elements of the network.
+
+    The same elements vary for every candidate (the picks come from a
+    topology-seeded stream), so the rest of the network is constant and
+    the sparse plan has internal nodes to condense.  The first element
+    always varies, so the batch is never constant.
+    """
+
+    def __init__(self, seed: int, candidate: int):
+        self._pick = np.random.default_rng(seed)
+        self._value = np.random.default_rng(9000 + candidate)
+        self._count = 0
+
+    def uniform(self, low: float, high: float) -> float:
+        value = float(self._value.uniform(low, high))
+        varies = self._count == 0 or self._pick.random() < 0.5
+        self._count += 1
+        return value if varies else 1.0
+
+
 class TestSparseSolverEquivalence:
     """The condensed (sparse) tier must agree with dense to <= 1e-9."""
-
-    @staticmethod
-    def _batch(seed: int, n: int = 4):
-        return [
-            _random_passive_circuit(seed,
-                                    value_rng=np.random.default_rng(9000 + k))
-            for k in range(n)
-        ]
 
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=20, deadline=None)
     def test_sparse_matches_dense_on_random_ladders(self, seed):
-        circuits = self._batch(seed)
-        probes = ("out", "in")
-        dense = solve_ac_batch(circuits, GRID, probe_nodes=probes,
-                               solver="dense")
-        sparse = solve_ac_batch(circuits, GRID, probe_nodes=probes,
-                                solver="sparse")
-        np.testing.assert_allclose(sparse.s, dense.s, rtol=1e-9, atol=1e-12)
-        # cy entries span the batch's PSD scale down to pure
-        # cancellation residue; the condensation reorders the
-        # arithmetic, so absolute noise up to ~1e-13 of the dominant
-        # entry is expected there, not a defect.
-        np.testing.assert_allclose(sparse.cy, dense.cy, rtol=1e-9,
-                                   atol=1e-13 * np.abs(dense.cy).max())
-        np.testing.assert_allclose(sparse.node_transfers,
-                                   dense.node_transfers,
-                                   rtol=1e-9, atol=1e-12)
+        circuits = [_random_passive_circuit(seed, _PartialRescale(seed, k))
+                    for k in range(4)]
+        reference = circuits[0]
+        n_nodes = len(reference.node_names)
+        y = np.stack([assemble_tensor(c, GRID.f_hz, n_nodes)
+                      for c in circuits])
+        ports = np.array([reference.node_index("in"),
+                          reference.node_index("out")])
+        # Probe rows: the last internal node (condensed out unless a
+        # varying element touches it) and a port.
+        out_rows = [int(p) for p in ports] + [
+            reference.node_index(reference.node_names[-1]),
+            reference.node_index("out")]
+        rng = np.random.default_rng(seed)
+        rhs = np.zeros((n_nodes, 5), dtype=complex)
+        rhs[ports[0], 0] = 1.0
+        rhs[ports[1], 1] = 1.0
+        rhs[:, 2:] = (rng.normal(size=(n_nodes, 3))
+                      + 1j * rng.normal(size=(n_nodes, 3)))  # noise-like
+
+        # The mutable hull: one single-entry group per entry that
+        # differs from candidate 0 anywhere in the batch.
+        base = y[0]
+        rows, cols = np.nonzero(np.any(y != base, axis=(0, 1)))
+        groups, coeffs = [], {}
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            name = f"e{r}.{c}"
+            groups.append(MutableGroup(name, np.array([r]), np.array([c]),
+                                       np.array([1.0])))
+            coeffs[name] = y[:, :, r, c] - base[:, r, c]
+        plan = build_plan(base, groups, ports, 50.0, rhs, out_rows)
+        sparse = plan.solve_rows(coeffs, len(circuits), update="full")
+
+        y_loaded = y.copy()
+        for p in ports:
+            y_loaded[..., p, p] += 1.0 / 50.0
+        dense = np.linalg.solve(
+            y_loaded, np.broadcast_to(rhs, y.shape[:2] + rhs.shape)
+        )[..., out_rows, :]
+        # The condensation reorders the arithmetic, so absolute noise
+        # up to ~1e-13 of the dominant entry is expected, not a defect.
+        np.testing.assert_allclose(sparse, dense, rtol=1e-9,
+                                   atol=1e-13 * np.abs(dense).max())
 
     def test_sparse_matches_dense_on_lna_template(self):
         from repro.core.amplifier import AmplifierTemplate, DesignVariables
@@ -221,38 +257,6 @@ class TestSparseSolverEquivalence:
                 getattr(rs, name), getattr(rd, name), rtol=1e-9, atol=1e-9,
                 err_msg=name,
             )
-
-    def test_sparse_isolation_flags_singular_rows(self):
-        # A batch whose candidates differ in a few entries (so the
-        # sparse tier engages) with two rows made exactly singular:
-        # the isolated wrapper must flag them and keep healthy rows.
-        n_batch, n_nodes = 5, 4
-        f = GRID.f_hz
-        y = np.zeros((n_batch, f.size, n_nodes, n_nodes), dtype=complex)
-        g_chain = 1.0 / 75.0
-        for a, b in ((0, 2), (2, 3), (3, 1)):
-            y[:, :, a, a] += g_chain
-            y[:, :, b, b] += g_chain
-            y[:, :, a, b] -= g_chain
-            y[:, :, b, a] -= g_chain
-        for i in range(n_batch):  # per-candidate shunt: the stamp hull
-            y[i, :, 2, 2] += 1e-3 * (1.0 + 0.2 * i)
-        singular = (1, 3)
-        for i in singular:
-            y[i] = 1.0
-            y[i, :, 0, 0] -= 1.0 / 50.0
-            y[i, :, 1, 1] -= 1.0 / 50.0
-        ports = np.array([0, 1])
-        before = y.copy()
-        s, cy, _, failed = solve_tensor_batch_isolated(
-            y, ports, 50.0, solver="sparse"
-        )
-        assert failed.tolist() == [False, True, False, True, False]
-        assert np.all(s[list(singular)] == 0.0)
-        np.testing.assert_array_equal(y, before)  # still non-mutating
-        healthy = [0, 2, 4]
-        s_ref, _, _ = solve_tensor_batch(y[healthy], ports, 50.0)
-        np.testing.assert_allclose(s[healthy], s_ref, rtol=1e-9, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=10, deadline=None)

@@ -210,6 +210,11 @@ def test_robust_score_orders_as_expected():
 # ----------------------------------------------------------------------
 
 class TestRobustEvaluator:
+    def test_corner_sweeps_run_on_the_sparse_tier(self, template):
+        compiled = _evaluator(template)._compiled
+        assert compiled.solver == "sparse"
+        assert compiled._plan is not None
+
     def test_batch_shapes_and_ranges(self, template):
         evaluator = _evaluator(template)
         unit_x = np.full((3, N_VARS), 0.5)

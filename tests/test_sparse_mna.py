@@ -1,13 +1,13 @@
 """Solver-tier contracts: sparse plan, selection, isolation, copies.
 
 Companion to the random-circuit equivalence sweep — this file pins the
-*contract* surface of the sparse tier: kernels never mutate their
-inputs, ``BatchACResult.candidate`` detaches, ``solver="auto"`` is
-journaled, guards sample the reduced matrix, and the Woodbury residual
-check falls ill-conditioned candidates back to full refactorization.
+*contract* surface of the solve tiers: the dense kernel never mutates
+its input, ``BatchACResult.candidate`` detaches, ``CompiledTemplate``
+accepts only ``"dense"`` or ``"sparse"``, guards sample the reduced
+matrix, and the Woodbury residual check falls ill-conditioned
+candidates back to full refactorization.
 """
 
-import json
 import pickle
 
 import numpy as np
@@ -21,14 +21,14 @@ from repro.analysis.compiled import (
 from repro.analysis.netlist import Circuit
 from repro.analysis.sparsemna import (
     MutableGroup,
+    PatternError,
     build_plan,
     structural_costs,
 )
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
-from repro.core.engine import CompiledTemplate
+from repro.core.engine import CompileError, CompiledTemplate
 from repro.experiments.common import reference_device
 from repro.guards.modes import guard_mode
-from repro.obs.journal import RunJournal, set_journal
 from repro.obs.metrics import Metrics, get_metrics, set_metrics
 from repro.rf.frequency import FrequencyGrid
 
@@ -44,24 +44,6 @@ def fresh_metrics():
     set_metrics(previous)
 
 
-@pytest.fixture()
-def journal(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    recorder = RunJournal(path, run_id="test")
-    previous = set_journal(recorder)
-
-    def events():
-        recorder.flush()
-        with open(path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
-    try:
-        yield events
-    finally:
-        set_journal(previous)
-        recorder.close()
-
-
 @pytest.fixture(scope="module")
 def lna_template():
     return AmplifierTemplate(reference_device().small_signal)
@@ -74,7 +56,7 @@ def sparse_engine(lna_template):
 
 def _varying_tensor(n_batch=4, n_nodes=4):
     """A healthy same-topology batch whose candidates differ in a few
-    entries (so the sparse tier has a stamp hull to condense)."""
+    entries."""
     f = GRID.f_hz
     y = np.zeros((n_batch, f.size, n_nodes, n_nodes), dtype=complex)
     g = 1.0 / 75.0
@@ -96,23 +78,20 @@ PORTS = np.array([0, 1])
 # ----------------------------------------------------------------------
 
 class TestNonMutatingKernel:
-    @pytest.mark.parametrize("solver", ["dense", "sparse", "auto"])
-    def test_solve_tensor_batch_leaves_input_bit_identical(self, solver):
+    def test_solve_tensor_batch_leaves_input_bit_identical(self):
         y = _varying_tensor()
         psd = np.full((4, GRID.f_hz.size), 1e-20)
         sources = [BatchNoiseSource(
             np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex), psd
         )]
         before = y.tobytes()
-        solve_tensor_batch(y, PORTS, 50.0, sources, solver=solver)
+        solve_tensor_batch(y, PORTS, 50.0, sources)
         assert y.tobytes() == before
 
     def test_solver_argument_validated(self):
-        y = _varying_tensor()
-        with pytest.raises(ValueError, match="solver"):
-            solve_tensor_batch(y, PORTS, 50.0, solver="bogus")
-        with pytest.raises(ValueError, match="solver"):
-            CompiledTemplate(None, solver="bogus")
+        for solver in ("bogus", "auto"):
+            with pytest.raises(ValueError, match="solver"):
+                CompiledTemplate(None, solver=solver)
 
 
 # ----------------------------------------------------------------------
@@ -144,20 +123,18 @@ def test_candidate_returns_detached_copy():
 
 
 # ----------------------------------------------------------------------
-# solver selection
+# tier bookkeeping
 # ----------------------------------------------------------------------
 
-def test_auto_solver_journals_decision(journal, lna_template):
-    engine = CompiledTemplate(lna_template, solver="auto", verify=False)
-    assert engine._solver_resolved == "sparse"
-    decisions = [r for r in journal() if r["event"] == "solver_decision"]
-    assert len(decisions) == 1
-    record = decisions[0]
-    assert record["chosen"] == "sparse"
-    assert set(record["candidates"]) == {"dense", "sparse"}
-    assert record["candidates"]["sparse"] < record["candidates"]["dense"]
-    assert 0 < record["n_reduced"] < record["n_nodes"]
-    assert record["rhs_columns"] > 2
+def test_sparse_uncondensable_template_raises(monkeypatch, lna_template):
+    import repro.core.engine as engine
+
+    def singular(*args, **kwargs):
+        raise PatternError("constant internal block is singular")
+
+    monkeypatch.setattr(engine, "build_plan", singular)
+    with pytest.raises(CompileError, match="cannot be condensed"):
+        CompiledTemplate(lna_template, solver="sparse", verify=False)
 
 
 def test_structural_costs_scale_with_reduction():
@@ -170,7 +147,7 @@ def test_structural_costs_scale_with_reduction():
 def test_engine_pickle_round_trips_solver(sparse_engine):
     clone = pickle.loads(pickle.dumps(sparse_engine))
     assert clone.solver == "sparse"
-    assert clone._solver_resolved == "sparse"
+    assert clone._plan is not None
     pop = np.random.default_rng(3).random((4, len(DesignVariables.NAMES)))
     a = sparse_engine.performance_batch(pop)
     b = clone.performance_batch(pop)
