@@ -107,19 +107,9 @@ __all__ = [
     "CompiledMetricObjective",
     "BatchPerformance",
     "StampSlot",
-    "VARIABLE_ELEMENT_NAMES",
 ]
 
 _2KT0 = 2.0 * BOLTZMANN * 290.0
-
-#: Elements of :meth:`AmplifierTemplate.build_circuit` whose stamped
-#: value depends on the design vector.  Everything else goes into the
-#: constant base tensor; compilation verifies this classification.
-VARIABLE_ELEMENT_NAMES = frozenset({
-    "Cin", "Lin", "Ldeg", "Lchoke", "Cout", "Csh",   # matching passives
-    "Rstab", "Rsh",                                  # stabilization
-    "Q_Cgs", "Q_Cgd", "Q_gm", "Q_Gds", "Q_ind",      # bias-dependent
-})
 
 
 def _performance_is_finite(perf: AmplifierPerformance) -> bool:
@@ -140,7 +130,7 @@ class CompileError(RuntimeError):
     Raised when :meth:`AmplifierTemplate.build_circuit` produced a
     topology the compiled constant/variable split cannot represent —
     usually because an element was added or renamed without updating
-    ``VARIABLE_ELEMENT_NAMES``.
+    the value model, :meth:`CompiledTemplate._candidate_values`.
     """
 
 
@@ -285,11 +275,17 @@ class CompiledTemplate:
     def _compile(self):
         proto = self.template.build_circuit(DesignVariables())
         names = {element.name for element in proto.elements}
-        missing = VARIABLE_ELEMENT_NAMES - names
+        # The value model is the one list of design-dependent elements:
+        # every name it returns a value for is stamped per candidate.
+        values = self._candidate_values(
+            DesignVariables().to_vector()[None, :], bad_bias="mask"
+        )
+        variable_names = set().union(*values[:3])
+        missing = variable_names - names
         if missing:
             raise CompileError(
-                f"template netlist lacks expected design-dependent "
-                f"elements: {sorted(missing)}"
+                f"value model names elements the template netlist "
+                f"lacks: {sorted(missing)}"
             )
         self._n_nodes = len(proto.node_names)
         self._port_rows = np.array(
@@ -302,9 +298,9 @@ class CompiledTemplate:
         self._port_names = [p.name for p in proto.ports]
 
         constant = [e for e in proto.elements
-                    if e.name not in VARIABLE_ELEMENT_NAMES]
+                    if e.name not in variable_names]
         variable = {e.name: e for e in proto.elements
-                    if e.name in VARIABLE_ELEMENT_NAMES}
+                    if e.name in variable_names}
 
         # Constant part: stamped once by the ordinary scalar assembler.
         self._base = _assemble_tensor(proto, self._f_fused, self._n_nodes,
@@ -806,20 +802,18 @@ class CompiledTemplate:
             gt_ripple_db=np.max(gt_db, axis=1) - np.min(gt_db, axis=1),
         )
 
-    def performance(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        """Single-candidate convenience wrapper over the batch path."""
-        return self.performance_batch(np.atleast_2d(unit_x)).candidate(0)
-
     # -- fault-isolated solving ---------------------------------------------
     def performance_batch_isolated(self, unit_x: np.ndarray):
         """Like :meth:`performance_batch`, but no candidate can sink it.
 
-        Degradation chain per candidate: the fused compiled solve first;
-        rows that make it fail (singular tensors, non-finite figures,
-        unusable bias) are retried one at a time, then through the
-        scalar :meth:`AmplifierTemplate.evaluate` path, and finally —
-        if nothing can evaluate them — filled with the finite
-        worst-case figures of :meth:`AmplifierPerformance.penalty`.
+        Degradation chain per candidate: the fused compiled solve first
+        (the dense tier re-solves a failing batch row by row); rows it
+        cannot solve (singular systems, non-finite figures, value
+        models that raised) go through the scalar
+        :meth:`AmplifierTemplate.evaluate` path, and finally — if
+        nothing can evaluate them, or the bias is unusable — are filled
+        with the finite worst-case figures of
+        :meth:`AmplifierPerformance.penalty`.
         Healthy rows are numerically identical to the plain batch path.
 
         Returns ``(batch, failures, n_fallbacks)``: the
@@ -881,35 +875,23 @@ class CompiledTemplate:
         ``decode(i)`` rebuilds row *i* for the scalar fallback."""
         n_batch = x_physical.shape[0]
         failures: List[Optional[EvaluationFailure]] = [None] * n_batch
-
-        (admittances, scalar_psds, block_psds, ids,
-         bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
-        n_band = self._n_band
-        if self.solver == "sparse":
-            s, cy_band, solver_failed = self._isolated_sparse(
-                n_batch, admittances, scalar_psds, block_psds
-            )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                batch = self._figures(s, cy_band, ids)
+        try:
+            (admittances, scalar_psds, block_psds, ids,
+             bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
+        except FAILURE_EXCEPTIONS:
+            # A value model raised for the batch as a whole: every row
+            # takes the scalar chain below, which classifies it alone.
+            ids = np.zeros(n_batch)
+            bad_bias = np.zeros(n_batch, dtype=bool)
+            s, cy_band, solver_failed = self._failed_solution(n_batch)
         else:
-            y_batch, noise_sources = self._stamped_batch(
+            solve = (self._isolated_sparse if self.solver == "sparse"
+                     else self._isolated_dense)
+            s, cy_band, solver_failed = solve(
                 n_batch, admittances, scalar_psds, block_psds
             )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                s_band, cy_band, _, failed_band = (
-                    solve_tensor_batch_isolated(
-                        y_batch[:, :n_band], self._port_rows, self._z0,
-                        noise_sources,
-                    )
-                )
-                s_guard, _, _, failed_guard = solve_tensor_batch_isolated(
-                    y_batch[:, n_band:], self._port_rows, self._z0
-                )
-                s = np.concatenate([s_band, s_guard], axis=1)
-                batch = self._figures(s, cy_band, ids)
-            solver_failed = failed_band | failed_guard
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            batch = self._figures(s, cy_band, ids)
         finite = (
             np.isfinite(batch.nf_db).all(axis=1)
             & np.isfinite(batch.gt_db).all(axis=1)
@@ -981,19 +963,37 @@ class CompiledTemplate:
                     self.band_grid, failures[i]))
         return batch, failures, n_fallbacks
 
+    def _isolated_dense(self, n_batch: int, admittances, scalar_psds,
+                        block_psds):
+        """Failure-isolated dense solve: stamp the full tensor and let
+        :func:`solve_tensor_batch_isolated` re-solve failing rows one at
+        a time, flagging the rows it cannot rescue ``failed``."""
+        n_band = self._n_band
+        y_batch, noise_sources = self._stamped_batch(
+            n_batch, admittances, scalar_psds, block_psds
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s_band, cy_band, _, failed_band = solve_tensor_batch_isolated(
+                y_batch[:, :n_band], self._port_rows, self._z0,
+                noise_sources,
+            )
+            s_guard, _, _, failed_guard = solve_tensor_batch_isolated(
+                y_batch[:, n_band:], self._port_rows, self._z0
+            )
+        s = np.concatenate([s_band, s_guard], axis=1)
+        return s, cy_band, failed_band | failed_guard
+
     def _isolated_sparse(self, n_batch: int, admittances, scalar_psds,
                          block_psds):
         """Failure-isolated sparse solve of one candidate batch.
 
-        The happy path is the condensed adjoint solve.  Candidates it
-        cannot represent — a singular reduced system or non-finite
-        results — are re-run through the *dense* isolated machinery as
-        a sub-batch, which carries the full PR 2-4 degradation chain
-        (per-row refactorization, equilibrated rescue, zero-fill +
-        ``failed`` flag) and is spliced back row-for-row.  Healthy rows
-        never leave the sparse path.
+        The condensed adjoint solve runs once for the whole batch.  Rows
+        it cannot represent — every row when the reduced system is
+        singular, else each row with non-finite results — come back
+        flagged ``failed`` for the caller's scalar -> penalty chain, the
+        same one dense rows take.  Healthy rows never leave the sparse
+        path.
         """
-        n_band = self._n_band
         if _guard_modes.enabled():
             # The sparse twin of the dense path's conditioning sample:
             # the mid-grid *reduced* matrix of the first candidate is
@@ -1004,44 +1004,23 @@ class CompiledTemplate:
                 v_ports = self._plan.solve_rows(admittances, n_batch,
                                                 update="auto")
             except np.linalg.LinAlgError:
-                v_ports = None
                 _obs_metrics.inc("mna.batch_refactorizations")
-            if v_ports is not None:
-                s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                                  scalar_psds, block_psds)
-                bad = ~(
-                    np.isfinite(s).reshape(n_batch, -1).all(axis=1)
-                    & np.isfinite(cy_band).reshape(n_batch, -1).all(axis=1)
-                )
-            else:
-                s = np.zeros((n_batch, self._f_fused.size, 2, 2),
-                             dtype=complex)
-                cy_band = np.zeros((n_batch, n_band, 2, 2), dtype=complex)
-                bad = np.ones(n_batch, dtype=bool)
-
-        failed = np.zeros(n_batch, dtype=bool)
-        if np.any(bad):
-            idx = np.flatnonzero(bad)
-            _obs_metrics.inc("mna.sparse_isolated_fallbacks", int(idx.size))
-            sub_adm = {k: v[idx] for k, v in admittances.items()}
-            sub_scalar = {k: v[idx] for k, v in scalar_psds.items()}
-            sub_block = {k: v[idx] for k, v in block_psds.items()}
-            y_sub, noise_sub = self._stamped_batch(
-                idx.size, sub_adm, sub_scalar, sub_block
-            )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                s_b, cy_b, _, f_band = solve_tensor_batch_isolated(
-                    y_sub[:, :n_band], self._port_rows, self._z0,
-                    noise_sub,
-                )
-                s_g, _, _, f_guard = solve_tensor_batch_isolated(
-                    y_sub[:, n_band:], self._port_rows, self._z0
-                )
-            s[idx] = np.concatenate([s_b, s_g], axis=1)
-            cy_band[idx] = cy_b
-            failed[idx] = f_band | f_guard
+                return self._failed_solution(n_batch)
+            s, cy_band = self._sparse_figures(v_ports, n_batch,
+                                              scalar_psds, block_psds)
+        failed = ~(
+            np.isfinite(s).reshape(n_batch, -1).all(axis=1)
+            & np.isfinite(cy_band).reshape(n_batch, -1).all(axis=1)
+        )
         return s, cy_band, failed
+
+    def _failed_solution(self, n_batch: int):
+        """Zero-filled ``(s, cy_band, failed)`` with every row flagged."""
+        return (
+            np.zeros((n_batch, self._f_fused.size, 2, 2), dtype=complex),
+            np.zeros((n_batch, self._n_band, 2, 2), dtype=complex),
+            np.ones(n_batch, dtype=bool),
+        )
 
     @staticmethod
     def _fill_row(batch: BatchPerformance, index: int,
@@ -1095,8 +1074,8 @@ class CompiledTemplate:
                     raise CompileError(
                         f"compiled engine disagrees with the scalar path "
                         f"on {label!r} at probe {k} (max error {error:.3e});"
-                        f" the netlist changed — update "
-                        f"VARIABLE_ELEMENT_NAMES in repro.core.engine"
+                        f" the netlist changed — update the value model "
+                        f"in CompiledTemplate._candidate_values"
                     )
 
 

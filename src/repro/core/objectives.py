@@ -23,7 +23,6 @@ comparable.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
@@ -40,18 +39,8 @@ from repro.core.amplifier import (
     DesignVariables,
 )
 from repro.core.bands import design_grid, stability_grid
-from repro.core.engine import (
-    CompiledTemplate,
-    CompileError,
-    _performance_is_finite,
-)
-from repro.optimize.faults import (
-    CATEGORY_NON_FINITE,
-    EvaluationFailure,
-    FAILURE_EXCEPTIONS,
-    RunHealth,
-    classify_exception,
-)
+from repro.core.engine import CompiledTemplate
+from repro.optimize.faults import RunHealth
 from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.rf.frequency import FrequencyGrid
 
@@ -122,67 +111,40 @@ class LnaEvaluator:
     other's stale entries (and :meth:`invalidate_cache` drops the
     store if the template is mutated in place).
 
-    By default evaluations run through the compiled batched engine
-    (:class:`repro.core.engine.CompiledTemplate`), which matches the
-    scalar path to ~1e-10; pass ``engine="scalar"`` to force the
-    original per-candidate circuit build.
+    Every cache miss runs through the compiled engine's fault-isolated
+    batch path
+    (:meth:`repro.core.engine.CompiledTemplate.performance_batch_isolated`,
+    dense tier), which matches the scalar path to ~1e-10; a template
+    the stamp plan cannot represent raises
+    :class:`~repro.core.engine.CompileError` at construction.
 
-    Failure isolation: with ``on_failure="penalty"`` (the default) a
-    candidate whose solve raises (``DcConvergenceError``, singular
-    matrices, bad bias) or produces non-finite figures yields the
-    finite worst-case :meth:`AmplifierPerformance.penalty` record —
-    carrying a structured :class:`EvaluationFailure` — instead of an
+    Failure isolation: a candidate whose solve raises
+    (``DcConvergenceError``, singular matrices, bad bias) or produces
+    non-finite figures yields the finite worst-case
+    :meth:`AmplifierPerformance.penalty` record — carrying a structured
+    :class:`~repro.optimize.faults.EvaluationFailure` — instead of an
     exception.  Failures are counted by category in ``self.health``,
-    logged (capped) in ``self.failure_log``, and **never cached**, so a
-    transiently failing design point is re-attempted on revisit.  Pass
-    ``on_failure="raise"`` to restore the raising behavior.
+    journaled as ``evaluation_failure``, and **never cached**, so a
+    transiently failing design point is re-attempted on revisit.
     """
+
+    #: LRU capacity, in design points.
+    CACHE_SIZE = 4096
 
     def __init__(self, template: AmplifierTemplate,
                  band_grid: Optional[FrequencyGrid] = None,
-                 guard_grid: Optional[FrequencyGrid] = None,
-                 engine: str = "compiled",
-                 cache_size: int = 4096,
-                 on_failure: str = "penalty",
-                 max_failure_log: int = 64):
-        if on_failure not in ("penalty", "raise"):
-            raise ValueError(
-                f"unknown on_failure {on_failure!r}; "
-                f"use 'penalty' or 'raise'"
-            )
+                 guard_grid: Optional[FrequencyGrid] = None):
         self.template = template
         self.band_grid = band_grid or design_grid(17)
         self.guard_grid = guard_grid or stability_grid(24)
-        self.on_failure = on_failure
         self.health = RunHealth()
-        self.failure_log: List[EvaluationFailure] = []
-        self.max_failure_log = int(max_failure_log)
         self.n_solves = 0
         self.cache_hits = 0
-        self.cache_size = int(cache_size)
         self._cache: "OrderedDict[bytes, AmplifierPerformance]" = OrderedDict()
         self._fingerprint = self._compute_fingerprint()
-        self._compiled: Optional[CompiledTemplate] = None
-        if engine == "compiled":
-            try:
-                self._compiled = CompiledTemplate(
-                    self.template, self.band_grid, self.guard_grid
-                )
-            except CompileError as exc:
-                warnings.warn(
-                    f"compiled engine rejected the template "
-                    f"({exc}); falling back to the scalar path",
-                    RuntimeWarning,
-                )
-        elif engine != "scalar":
-            raise ValueError(
-                f"unknown engine {engine!r}; use 'compiled' or 'scalar'"
-            )
-
-    @property
-    def engine(self) -> str:
-        """The evaluation path in use: ``"compiled"`` or ``"scalar"``."""
-        return "compiled" if self._compiled is not None else "scalar"
+        self._compiled = CompiledTemplate(
+            self.template, self.band_grid, self.guard_grid
+        )
 
     def _compute_fingerprint(self) -> bytes:
         """Hash of the template + grids that parameterize every solve."""
@@ -208,11 +170,6 @@ class LnaEvaluator:
         quantized = quantized + 0.0
         return self._fingerprint + quantized.tobytes()
 
-    def _remember(self, key: bytes, perf: AmplifierPerformance):
-        self._cache[key] = perf
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
     def _lookup(self, key: bytes) -> Optional[AmplifierPerformance]:
         cached = self._cache.get(key)
         if cached is not None:
@@ -221,41 +178,36 @@ class LnaEvaluator:
             _obs_metrics.inc("evaluator.cache_hits")
         return cached
 
-    def _solve_one(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        if self._compiled is not None:
-            return self._compiled.performance(unit_x)
-        variables = DesignVariables.from_unit(unit_x)
-        return self.template.evaluate(
-            variables, self.band_grid, self.guard_grid
+    def _solve_misses(self, unit_x: np.ndarray,
+                      keys: List[bytes]) -> List[AmplifierPerformance]:
+        """Solve de-duplicated cache misses, one row per key.
+
+        Healthy rows are cached; failed rows become penalty records,
+        counted in ``health`` and journaled, but never cached.
+        """
+        batch, failures, n_fallbacks = (
+            self._compiled.performance_batch_isolated(unit_x)
         )
-
-    def _record_failure(self, failure: EvaluationFailure):
-        self.health.record(failure.category)
-        if len(self.failure_log) < self.max_failure_log:
-            self.failure_log.append(failure)
-        _obs_journal.emit("evaluation_failure",
-                          category=failure.category,
-                          message=str(failure.message)[:200])
-
-    def _penalty(self, failure: EvaluationFailure) -> AmplifierPerformance:
-        self._record_failure(failure)
-        return AmplifierPerformance.penalty(self.band_grid, failure)
-
-    def _solve_one_guarded(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        """Scalar-path solve that maps failures to penalty records."""
-        try:
-            perf = self._solve_one(unit_x)
-        except FAILURE_EXCEPTIONS as exc:
-            return self._penalty(EvaluationFailure(
-                classify_exception(exc), str(exc), x=unit_x.copy()
-            ))
-        if not _performance_is_finite(perf):
-            return self._penalty(EvaluationFailure(
-                CATEGORY_NON_FINITE,
-                "evaluation produced non-finite figures of merit",
-                x=unit_x.copy(),
-            ))
-        return perf
+        self.n_solves += len(keys)
+        _obs_metrics.inc("evaluator.solves", len(keys))
+        self.health.engine_fallbacks += n_fallbacks
+        solved = []
+        for k, (key, failure) in enumerate(zip(keys, failures)):
+            if failure is not None:
+                self.health.record(failure.category)
+                _obs_journal.emit("evaluation_failure",
+                                  category=failure.category,
+                                  message=str(failure.message)[:200])
+                solved.append(
+                    AmplifierPerformance.penalty(self.band_grid, failure)
+                )
+                continue
+            perf = batch.candidate(k)
+            self._cache[key] = perf
+            if len(self._cache) > self.CACHE_SIZE:
+                self._cache.popitem(last=False)
+            solved.append(perf)
+        return solved
 
     def performance(self, unit_x: np.ndarray) -> AmplifierPerformance:
         """Figures of merit at a *unit-box* design vector."""
@@ -266,34 +218,7 @@ class LnaEvaluator:
             return cached
         _obs_metrics.inc("evaluator.cache_misses")
         with _obs_tracer.span("evaluator.performance"):
-            return self._performance_miss(key, unit_x)
-
-    def _performance_miss(self, key: bytes,
-                          unit_x: np.ndarray) -> AmplifierPerformance:
-        if self.on_failure == "raise":
-            perf = self._solve_one(unit_x)
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            self._remember(key, perf)
-            return perf
-        if self._compiled is not None:
-            batch, failures, n_fallbacks = (
-                self._compiled.performance_batch_isolated(unit_x[None, :])
-            )
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            self.health.engine_fallbacks += n_fallbacks
-            if failures[0] is not None:
-                return self._penalty(failures[0])
-            perf = batch.candidate(0)
-        else:
-            perf = self._solve_one_guarded(unit_x)
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            if perf.is_failure:
-                return perf
-        self._remember(key, perf)
-        return perf
+            return self._solve_misses(unit_x[None, :], [key])[0]
 
     def performance_batch(
         self, unit_x: np.ndarray
@@ -301,8 +226,8 @@ class LnaEvaluator:
         """Figures of merit for a ``(B, n_vars)`` stack of unit vectors.
 
         Cache hits are served from the LRU store; the misses are solved
-        in **one** batched MNA factorization when the compiled engine
-        is active (duplicate rows within the batch are solved once).
+        in **one** batched MNA factorization (duplicate rows within the
+        batch are solved once).
         """
         unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
         results: List[Optional[AmplifierPerformance]] = [None] * len(unit_x)
@@ -320,39 +245,12 @@ class LnaEvaluator:
             with _obs_tracer.span("evaluator.performance_batch",
                                   batch=len(unit_x),
                                   misses=len(first_rows)):
-                solved = self._solve_misses(unit_x, first_rows)
-            for (key, rows), perf in zip(miss_rows.items(), solved):
-                self.n_solves += 1
-                _obs_metrics.inc("evaluator.solves")
-                if not perf.is_failure:
-                    self._remember(key, perf)
+                solved = self._solve_misses(unit_x[first_rows],
+                                            list(miss_rows))
+            for rows, perf in zip(miss_rows.values(), solved):
                 for i in rows:
                     results[i] = perf
         return results
-
-    def _solve_misses(self, unit_x: np.ndarray,
-                      first_rows: List[int]) -> List[AmplifierPerformance]:
-        """Solve the de-duplicated cache misses of a batch call."""
-        if self.on_failure == "raise":
-            if self._compiled is not None:
-                batch = self._compiled.performance_batch(unit_x[first_rows])
-                return [batch.candidate(k) for k in range(len(first_rows))]
-            return [self._solve_one(unit_x[i]) for i in first_rows]
-        if self._compiled is not None:
-            batch, failures, n_fallbacks = (
-                self._compiled.performance_batch_isolated(
-                    unit_x[first_rows]
-                )
-            )
-            self.health.engine_fallbacks += n_fallbacks
-            solved = []
-            for k in range(len(first_rows)):
-                if failures[k] is not None:
-                    solved.append(self._penalty(failures[k]))
-                else:
-                    solved.append(batch.candidate(k))
-            return solved
-        return [self._solve_one_guarded(unit_x[i]) for i in first_rows]
 
 
 def build_lna_problem(template: AmplifierTemplate,

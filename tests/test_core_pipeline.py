@@ -29,7 +29,6 @@ class TestDesignFlow:
         # SLSQP's finite-difference gradients see the sparse tier's
         # roundoff; the nominal flow stays dense until gradients are
         # exact.
-        assert flow.evaluator.engine == "compiled"
         assert flow.evaluator._compiled.solver == "dense"
 
     def test_standard_run_feasible(self, flow, standard_result):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
-from repro.core.engine import CompiledTemplate
+from repro.core.engine import CompiledTemplate, CompileError
 from repro.core.objectives import LnaEvaluator, build_lna_problem
 from repro.experiments.common import reference_device, selected_design
 from repro.optimize.batching import PopulationEvaluator
@@ -37,7 +37,7 @@ def engine(template):
 
 
 def _assert_matches_scalar(engine, template, unit_x, tolerance=1e-8):
-    perf_c = engine.performance(unit_x)
+    perf_c = engine.performance_batch(unit_x[None]).candidate(0)
     perf_s = template.evaluate(DesignVariables.from_unit(unit_x),
                                engine.band_grid, engine.guard_grid)
     np.testing.assert_allclose(perf_c.nf_db, perf_s.nf_db, atol=tolerance)
@@ -69,13 +69,27 @@ class TestCompiledTemplate:
         batch = engine.performance_batch(unit_x)
         assert len(batch) == 6
         for i in range(6):
-            single = engine.performance(unit_x[i])
+            single = engine.performance_batch(unit_x[i][None]).candidate(0)
             np.testing.assert_allclose(batch.nf_db[i], single.nf_db,
                                        atol=1e-12)
             np.testing.assert_allclose(batch.gt_db[i], single.gt_db,
                                        atol=1e-12)
             assert batch.mu_min[i] == pytest.approx(single.mu_min,
                                                     abs=1e-12)
+
+    def test_value_model_name_missing_from_netlist_raises(
+            self, monkeypatch, template):
+        real = CompiledTemplate._candidate_values
+
+        def with_ghost(self, x_physical, bad_bias="raise"):
+            values = real(self, x_physical, bad_bias)
+            values[0]["Ghost"] = values[0]["Cin"]
+            return values
+
+        monkeypatch.setattr(CompiledTemplate, "_candidate_values",
+                            with_ghost)
+        with pytest.raises(CompileError, match="Ghost"):
+            CompiledTemplate(template, verify=False)
 
 
 class TestLnaEvaluatorCache:
@@ -105,37 +119,31 @@ class TestLnaEvaluatorCache:
         for a, b in zip(perfs[:3], perfs_again):
             assert a is b                        # served from the LRU store
 
-    def test_scalar_engine_agrees_with_compiled(self, template):
-        compiled = LnaEvaluator(template, engine="compiled")
-        scalar = LnaEvaluator(template, engine="scalar")
-        assert compiled.engine == "compiled"
-        assert scalar.engine == "scalar"
+    def test_evaluator_agrees_with_scalar_oracle(self, template):
+        evaluator = LnaEvaluator(template)
         x = np.full(len(DesignVariables.NAMES), 0.55)
-        pc = compiled.performance(x)
-        ps = scalar.performance(x)
+        pc = evaluator.performance(x)
+        ps = template.evaluate(DesignVariables.from_unit(x),
+                               evaluator.band_grid, evaluator.guard_grid)
         np.testing.assert_allclose(pc.nf_db, ps.nf_db, atol=1e-8)
         assert pc.mu_min == pytest.approx(ps.mu_min, abs=1e-8)
-
-    def test_unknown_engine_rejected(self, template):
-        with pytest.raises(ValueError):
-            LnaEvaluator(template, engine="quantum")
 
     def test_cache_key_includes_template_fingerprint(self, template):
         """Regression: two evaluators with different problems must not
         produce colliding cache keys for the same design vector."""
         from repro.core.bands import design_grid, stability_grid
 
-        a = LnaEvaluator(template, engine="scalar")
+        a = LnaEvaluator(template)
         b = LnaEvaluator(template, band_grid=design_grid(9),
-                         guard_grid=stability_grid(12), engine="scalar")
+                         guard_grid=stability_grid(12))
         x = np.full(len(DesignVariables.NAMES), 0.4)
         assert a._key(x) != b._key(x)
         # Same configuration -> same key (the fingerprint is stable).
-        c = LnaEvaluator(template, engine="scalar")
+        c = LnaEvaluator(template)
         assert a._key(x) == c._key(x)
 
     def test_cache_key_folds_negative_zero(self, template):
-        evaluator = LnaEvaluator(template, engine="scalar")
+        evaluator = LnaEvaluator(template)
         x = np.full(len(DesignVariables.NAMES), 0.25)
         x_neg = x.copy()
         x_neg[0] = -0.0

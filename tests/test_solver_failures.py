@@ -3,8 +3,8 @@
 Covers the degradation chain bottom-up: the isolated tensor solve
 (singular rows come back flagged, healthy rows bit-identical), the
 compiled engine's bad-bias masking and scalar fallback, and the
-LnaEvaluator's penalty semantics (failures counted, logged, and never
-cached as successes).
+LnaEvaluator's penalty semantics (failures counted, journaled, and
+never cached as successes).
 """
 
 import numpy as np
@@ -151,6 +151,23 @@ class ExplodingDcModel:
         return getattr(self._inner, name)
 
 
+class LowBiasExplodingDcModel:
+    """Raises DcConvergenceError when any queried vgs lies below a
+    threshold, so one low-bias row sinks a whole batch query."""
+
+    def __init__(self, inner, vgs_threshold):
+        self._inner = inner
+        self._threshold = float(vgs_threshold)
+
+    def gm(self, vgs, vds):
+        if np.any(np.asarray(vgs) < self._threshold):
+            raise DcConvergenceError("Newton iteration diverged")
+        return self._inner.gm(vgs, vds)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 @pytest.fixture()
 def template():
     # reference_device() is lru_cached, so the small-signal device is
@@ -220,10 +237,9 @@ def test_dc_convergence_error_propagates_through_scalar_evaluate(
 # LnaEvaluator: penalties counted, logged, never cached
 # ----------------------------------------------------------------------
 
-def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
-        template, grids):
+def test_evaluator_absorbs_dc_failure_and_does_not_cache(template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar")
+    evaluator = LnaEvaluator(template, band, guard)
     template.device.dc_model = ExplodingDcModel(template.device.dc_model)
 
     x = np.full(len(DesignVariables.NAMES), 0.5)
@@ -232,7 +248,6 @@ def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
     assert perf.failure.category == CATEGORY_DC
     assert perf.nf_max_db == PENALTY_NF_DB
     assert evaluator.health.failures == {CATEGORY_DC: 1}
-    assert len(evaluator.failure_log) == 1
     assert evaluator.n_solves == 1
 
     # Same point again: the failure was not cached, so it re-attempts.
@@ -244,7 +259,7 @@ def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
 
 def test_evaluator_recovers_after_transient_failure(template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar")
+    evaluator = LnaEvaluator(template, band, guard)
     honest = template.device.dc_model
     template.device.dc_model = ExplodingDcModel(honest)
     x = np.full(len(DesignVariables.NAMES), 0.5)
@@ -260,11 +275,45 @@ def test_evaluator_recovers_after_transient_failure(template, grids):
     assert evaluator.cache_hits == 1
 
 
+def test_evaluator_batch_rescues_rows_when_value_model_raises(
+        template, grids):
+    """A DC model that raises for the batch as a whole sends every row
+    down the scalar chain: healthy rows come back, only the low-bias
+    row is a penalty, and nothing failed is cached."""
+    band, guard = grids
+    n = len(DesignVariables.NAMES)
+    unit = np.tile(np.full(n, 0.5), (3, 1))
+    unit[1, 0] = 0.0   # vgs at the box floor (0.35 V)
+    unit[2, 1] = 0.6   # a distinct healthy row (no de-duplication)
+    reference = LnaEvaluator(template, band, guard).performance_batch(unit)
+
+    evaluator = LnaEvaluator(template, band, guard)
+    template.device.dc_model = LowBiasExplodingDcModel(
+        template.device.dc_model, vgs_threshold=0.40)
+    perfs = evaluator.performance_batch(unit)
+    assert [p.is_failure for p in perfs] == [False, True, False]
+    assert perfs[1].failure.category == CATEGORY_DC
+    assert evaluator.health.failures == {CATEGORY_DC: 1}
+    assert evaluator.health.engine_fallbacks == 2
+    for k in (0, 2):
+        np.testing.assert_allclose(perfs[k].nf_db, reference[k].nf_db,
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(perfs[k].gt_db, reference[k].gt_db,
+                                   rtol=1e-9, atol=1e-9)
+
+    # The rescued rows were cached; the failed row is solved again.
+    again = evaluator.performance_batch(unit)
+    assert again[0] is perfs[0] and again[2] is perfs[2]
+    assert again[1].is_failure
+    assert evaluator.cache_hits == 2
+    assert evaluator.n_solves == 4
+    assert evaluator.health.failures == {CATEGORY_DC: 2}
+
+
 def test_evaluator_compiled_batch_mixes_penalty_and_healthy(
         template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard)  # compiled
-    assert evaluator.engine == "compiled"
+    evaluator = LnaEvaluator(template, band, guard)
     template.device.dc_model = BiasFaultDcModel(template.device.dc_model,
                                                 vgs_threshold=0.40)
     n = len(DesignVariables.NAMES)
@@ -280,21 +329,6 @@ def test_evaluator_compiled_batch_mixes_penalty_and_healthy(
     perfs2 = evaluator.performance_batch(unit)
     assert evaluator.health.failures == {CATEGORY_BAD_BIAS: 2}
     assert perfs2[0] is perfs[0]
-
-
-def test_evaluator_on_failure_raise_restores_old_behaviour(
-        template, grids):
-    band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar",
-                             on_failure="raise")
-    template.device.dc_model = ExplodingDcModel(template.device.dc_model)
-    with pytest.raises(DcConvergenceError):
-        evaluator.performance(np.full(len(DesignVariables.NAMES), 0.5))
-
-
-def test_evaluator_rejects_unknown_on_failure(template):
-    with pytest.raises(ValueError):
-        LnaEvaluator(template, on_failure="explode")
 
 
 def test_penalty_performance_violates_every_constraint():

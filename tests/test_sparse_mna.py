@@ -178,10 +178,10 @@ def test_sparse_isolated_samples_conditioning_guard(fresh_metrics,
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_sparse_isolated_splices_dense_rescue(monkeypatch, fresh_metrics,
-                                              sparse_engine):
-    """A row the sparse path cannot represent is re-run through the
-    dense isolated machinery and spliced back — not zero-filled."""
+def test_sparse_isolated_rescues_row_through_scalar_path(
+        monkeypatch, fresh_metrics, sparse_engine):
+    """A row the sparse path cannot represent takes the scalar ->
+    penalty chain — it is rescued, not zero-filled."""
     pop = np.random.default_rng(11).random((4, len(DesignVariables.NAMES)))
     reference = sparse_engine.performance_batch(pop)
     plan = sparse_engine._plan
@@ -195,11 +195,37 @@ def test_sparse_isolated_splices_dense_rescue(monkeypatch, fresh_metrics,
         return out
 
     monkeypatch.setattr(plan, "solve_rows", poisoned)
-    batch, failures, _ = sparse_engine.performance_batch_isolated(pop)
+    batch, failures, n_fallbacks = (
+        sparse_engine.performance_batch_isolated(pop)
+    )
     assert all(f is None for f in failures)
-    assert fresh_metrics.counter("mna.sparse_isolated_fallbacks") == 1
+    assert n_fallbacks == 1
+    assert fresh_metrics.counter("engine.scalar_fallbacks") == 1
     # The rescued row agrees with the healthy reference; rows 0/2/3
     # never left the sparse path.
+    for name in ("nf_db", "gt_db", "mu_min"):
+        np.testing.assert_allclose(getattr(batch, name),
+                                   getattr(reference, name),
+                                   rtol=1e-9, atol=1e-9)
+
+
+def test_sparse_isolated_singular_batch_rescues_every_row(
+        monkeypatch, fresh_metrics, sparse_engine):
+    """A batch whose reduced solve raises ``LinAlgError`` sends every
+    row down the scalar path; none becomes a penalty."""
+    pop = np.random.default_rng(13).random((3, len(DesignVariables.NAMES)))
+    reference = sparse_engine.performance_batch(pop)
+
+    def singular(coeffs, n_batch, update="full"):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sparse_engine._plan, "solve_rows", singular)
+    batch, failures, n_fallbacks = (
+        sparse_engine.performance_batch_isolated(pop)
+    )
+    assert failures == [None, None, None]
+    assert n_fallbacks == 3
+    assert fresh_metrics.counter("engine.scalar_fallbacks") == 3
     for name in ("nf_db", "gt_db", "mu_min"):
         np.testing.assert_allclose(getattr(batch, name),
                                    getattr(reference, name),
