@@ -99,10 +99,10 @@ class LnaEvaluator:
     """Memoized map from a design vector to amplifier figures of merit.
 
     Objectives and constraints share one circuit solve per design
-    point; the quantized-key LRU cache makes the SLSQP
-    finite-difference pattern (objective then constraints at the same
-    x) cost one evaluation, and lets the multi-stage improved
-    goal-attainment flow revisit earlier iterates for free.  Keys
+    point.  The quantized-key LRU cache serves real revisits: the
+    constraint stencil weighted sum's SLSQP builds apart from its
+    objective stencil over the same points, and earlier iterates the
+    multi-stage improved goal-attainment flow returns to.  Keys
     quantize the unit vector to 12 decimals — far below the ~1.5e-8
     finite-difference step, so distinct probe points never collide —
     normalize ``-0.0`` to ``+0.0`` (their byte patterns differ), and
@@ -260,11 +260,11 @@ def build_lna_problem(template: AmplifierTemplate,
     """The (NFmax, -GTmin) problem with the spec's hard constraints.
 
     The problem is posed in the **unit box** [0, 1]^n; use
-    :meth:`DesignVariables.from_unit` to decode solution vectors.  In
-    addition to the scalar callables the problem carries
-    ``objectives_batch`` / ``constraints_batch`` — population-level
-    maps an optimizer can call with a ``(B, n)`` matrix to amortize the
-    MNA factorization across candidates.
+    :meth:`DesignVariables.from_unit` to decode solution vectors.  Its
+    ``evaluate`` makes one :meth:`LnaEvaluator.performance_batch` call
+    per ``(B, n)`` stack, so a population shares one batched MNA
+    factorization and each row's objectives and constraints come from
+    the same solve.
     """
     spec = spec or DesignSpec()
     evaluator = evaluator or LnaEvaluator(template)
@@ -281,28 +281,16 @@ def build_lna_problem(template: AmplifierTemplate,
             (perf.ids - spec.ids_max) / spec.ids_max,       # Ids <= budget
         ]
 
-    def objectives(x: np.ndarray) -> np.ndarray:
-        return np.array(_objective_row(evaluator.performance(x)))
-
-    def constraints(x: np.ndarray) -> np.ndarray:
-        return np.array(_constraint_row(evaluator.performance(x)))
-
-    def objectives_batch(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray):
         perfs = evaluator.performance_batch(x)
-        return np.array([_objective_row(p) for p in perfs])
-
-    def constraints_batch(x: np.ndarray) -> np.ndarray:
-        perfs = evaluator.performance_batch(x)
-        return np.array([_constraint_row(p) for p in perfs])
+        return (np.array([_objective_row(p) for p in perfs]).reshape(-1, 2),
+                np.array([_constraint_row(p) for p in perfs]).reshape(-1, 5))
 
     n_vars = len(DesignVariables.NAMES)
     return MultiObjectiveProblem(
-        objectives=objectives,
+        evaluate=evaluate,
         n_objectives=2,
         lower=np.zeros(n_vars),
         upper=np.ones(n_vars),
-        constraints=constraints,
         objective_names=("NFmax_dB", "-GTmin_dB"),
-        objectives_batch=objectives_batch,
-        constraints_batch=constraints_batch,
     )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -79,27 +79,22 @@ PENALTY_OBJECTIVE = 1.0e9
 class MultiObjectiveProblem:
     """A box-bounded multi-objective minimization problem.
 
-    ``objectives(x)`` returns the objective vector (all minimized);
-    ``constraints(x)``, when given, returns values that must end up
-    <= 0 at a feasible point.
-
-    ``objectives_batch`` / ``constraints_batch`` are optional
-    population-level companions: given a ``(B, n)`` matrix they return
-    ``(B, n_objectives)`` / ``(B, n_constraints)`` arrays matching the
-    scalar callables row by row.  Optimizers that evaluate whole
-    populations (NSGA-II, the improved goal-attainment probe stage)
-    use them when present to amortize the model solve across
-    candidates.
+    ``evaluate(X)`` maps a ``(B, n)`` stack of designs to ``(F, G)``:
+    ``F`` is the ``(B, n_objectives)`` objective matrix (all minimized)
+    and ``G`` the ``(B, n_constraints)`` matrix of values that must end
+    up <= 0 at a feasible point.  ``G`` has 0 columns on an
+    unconstrained problem.  One call yields both halves of every row,
+    so an optimizer never asks for the same design twice; a single
+    design is ``evaluate(x[None])``, row 0.  ``evaluate`` must accept an
+    empty batch (``B = 0``): the SLSQP methods use one to learn the
+    constraint count when their first evaluation fails.
     """
 
-    objectives: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     n_objectives: int
     lower: np.ndarray
     upper: np.ndarray
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
     objective_names: Sequence[str] = ()
-    objectives_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    constraints_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -138,11 +133,14 @@ class GoalAttainmentResult:
 
 
 class _CountedObjectives:
-    """Memoizing evaluation counter shared by all constraint callbacks.
+    """Memoizing counter of joint ``(f, g)`` evaluations for SLSQP.
 
-    Failure-isolated: an evaluation that raises one of
-    :data:`FAILURE_EXCEPTIONS` or returns non-finite entries yields the
-    finite :data:`PENALTY_OBJECTIVE` vector (recorded in ``health``)
+    ``counter(x)`` makes one ``problem.evaluate(x[None])`` call and
+    returns row 0 of ``(F, G)``; repeated calls at the same *x* share
+    that evaluation and count once in ``nfev``.  Failure-isolated: an
+    evaluation that raises one of :data:`FAILURE_EXCEPTIONS` yields
+    ``f = g = PENALTY_OBJECTIVE``, and non-finite entries become
+    :data:`PENALTY_OBJECTIVE`; either is recorded once in ``health``
     instead of sinking the surrounding SLSQP solve.
     """
 
@@ -151,32 +149,55 @@ class _CountedObjectives:
         self._problem = problem
         self.health = health if health is not None else RunHealth()
         self.nfev = 0
+        self._n_constraints: Optional[int] = None
         self._last_key = None
         self._last_value = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         key = x.tobytes()
         if key != self._last_key:
-            n_obj = self._problem.n_objectives
-            try:
-                value = np.asarray(self._problem.objectives(x), dtype=float)
-            except FAILURE_EXCEPTIONS as exc:
-                self.health.record(classify_exception(exc))
-                value = np.full(n_obj, PENALTY_OBJECTIVE)
-            else:
-                if value.shape != (n_obj,):
-                    raise ValueError(
-                        f"objectives returned shape {value.shape}, "
-                        f"expected ({n_obj},)"
-                    )
-                bad = ~np.isfinite(value)
-                if np.any(bad):
-                    self.health.record(CATEGORY_NON_FINITE)
-                    value = np.where(bad, PENALTY_OBJECTIVE, value)
-            self._last_value = value
+            self._last_value = self._evaluate(x, self.health)
             self._last_key = key
             self.nfev += 1
         return self._last_value
+
+    def uncounted(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The same row, neither counted nor recorded in ``health``.
+
+        For a stencil that revisits points the counted calls already
+        priced (weighted sum's separate constraint Jacobian).
+        """
+        if x.tobytes() == self._last_key:
+            return self._last_value
+        return self._evaluate(x, RunHealth())
+
+    def _evaluate(self, x, health):
+        n_obj = self._problem.n_objectives
+        try:
+            f, g = self._problem.evaluate(np.asarray(x, dtype=float)[None])
+        except FAILURE_EXCEPTIONS as exc:
+            health.record(classify_exception(exc))
+            return (np.full(n_obj, PENALTY_OBJECTIVE),
+                    np.full(self._constraint_count(), PENALTY_OBJECTIVE))
+        f = np.asarray(f, dtype=float)[0]
+        g = np.asarray(g, dtype=float)[0]
+        if f.shape != (n_obj,):
+            raise ValueError(
+                f"evaluate returned objective rows of shape {f.shape}, "
+                f"expected ({n_obj},)"
+            )
+        self._n_constraints = g.size
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            health.record(CATEGORY_NON_FINITE)
+            f = np.where(np.isfinite(f), f, PENALTY_OBJECTIVE)
+            g = np.where(np.isfinite(g), g, PENALTY_OBJECTIVE)
+        return f, g
+
+    def _constraint_count(self) -> int:
+        if self._n_constraints is None:
+            empty = np.empty((0, self._problem.lower.size))
+            self._n_constraints = np.shape(self._problem.evaluate(empty)[1])[1]
+        return self._n_constraints
 
     # -- checkpoint support -------------------------------------------------
     def state(self):
@@ -185,7 +206,7 @@ class _CountedObjectives:
             "nfev": self.nfev,
             "last_key": self._last_key,
             "last_value": None if self._last_value is None
-            else np.array(self._last_value),
+            else tuple(np.array(v) for v in self._last_value),
         }
 
     def restore(self, state):
@@ -202,29 +223,16 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
     goals = np.asarray(goals, dtype=float)
     weights = np.asarray(weights, dtype=float)
 
-    def split(y):
-        return y[:n_x], y[n_x]
+    def attainment_constraints(y):
+        f, g = counter(y[:n_x])
+        # Both blocks must be >= 0; one dict, so SLSQP builds one
+        # finite-difference stencil for them.
+        return np.concatenate([goals + weights * y[n_x] - f, -g])
 
     def objective(y):
         return y[n_x]
 
-    def attainment_constraints(y):
-        x, gamma = split(y)
-        f = counter(x)
-        return goals + weights * gamma - f  # must be >= 0
-
-    constraint_list = [
-        {"type": "ineq", "fun": attainment_constraints},
-    ]
-    if problem.constraints is not None:
-        constraint_list.append(
-            {"type": "ineq",
-             "fun": lambda y: -np.asarray(
-                 problem.constraints(y[:n_x]), dtype=float
-             )}
-        )
-
-    f0 = counter(np.asarray(x0, dtype=float))
+    f0, _ = counter(np.asarray(x0, dtype=float))
     gamma0 = float(np.max((f0 - goals) / weights)) + 0.1
     y0 = np.concatenate([x0, [gamma0]])
     gamma_span = 1e3 * (1.0 + abs(gamma0))
@@ -233,7 +241,7 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
     ]
     solution = sp_optimize.minimize(
         objective, y0, method="SLSQP", bounds=bounds,
-        constraints=constraint_list,
+        constraints=[{"type": "ineq", "fun": attainment_constraints}],
         options={"maxiter": max_iterations, "ftol": 1e-10},
     )
     x_final = np.clip(solution.x[:n_x], problem.lower, problem.upper)
@@ -242,15 +250,11 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
     )
 
 
-def _package(problem, counter, x, goals, weights, success, message,
+def _package(counter, x, goals, weights, success, message,
              history) -> GoalAttainmentResult:
-    f = counter(x)
+    f, g = counter(x)
     gamma = float(np.max((f - goals) / weights))
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(
-            np.max(np.maximum(problem.constraints(x), 0.0), initial=0.0)
-        )
+    violation = float(np.max(np.maximum(g, 0.0), initial=0.0))
     return GoalAttainmentResult(
         x=np.asarray(x, dtype=float), objectives=f, gamma=gamma,
         goals=np.asarray(goals, dtype=float),
@@ -289,7 +293,7 @@ def goal_attainment_standard(
     x_final, gamma, success, message = _solve_gembicki_nlp(
         problem, goals, weights, x0, counter, max_iterations
     )
-    return _package(problem, counter, x_final, goals, weights, success,
+    return _package(counter, x_final, goals, weights, success,
                     message, history=[gamma])
 
 
@@ -395,37 +399,24 @@ def goal_attainment_improved(
         probes = _seed_population(probes, initial_population,
                                   problem.lower, problem.upper)
         with _obs_tracer.span("goal_attainment.probe", n_probe=n_probe):
-            if problem.objectives_batch is not None:
-                # Population-level evaluation: one batched model solve
-                # for the whole sample, counted exactly like the
-                # per-point loop.
-                try:
-                    probe_values = np.asarray(
-                        problem.objectives_batch(probes), dtype=float
-                    )
-                    counter.nfev += len(probes)
-                except FAILURE_EXCEPTIONS:
-                    health.retries += 1
-                    probe_values = np.array([counter(p) for p in probes])
-            else:
-                probe_values = np.array([counter(p) for p in probes])
+            # One batched evaluation for the whole sample, counted like
+            # the per-point loop it falls back to.
+            try:
+                probe_values, probe_g = (
+                    np.asarray(a, dtype=float)
+                    for a in problem.evaluate(probes)
+                )
+                counter.nfev += len(probes)
+            except FAILURE_EXCEPTIONS:
+                health.retries += 1
+                rows = [counter(p) for p in probes]
+                probe_values = np.array([f for f, _ in rows])
+                probe_g = np.array([g for _, g in rows])
         bad = ~np.all(np.isfinite(probe_values), axis=1)
         if np.any(bad):
             health.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
             probe_values[bad] = PENALTY_OBJECTIVE
-        if problem.constraints is not None:
-            if problem.constraints_batch is not None:
-                feas = np.all(
-                    np.asarray(problem.constraints_batch(probes)) <= 0.0,
-                    axis=1,
-                )
-            else:
-                feas = np.array([
-                    np.all(np.asarray(problem.constraints(p)) <= 0.0)
-                    for p in probes
-                ])
-        else:
-            feas = np.ones(len(probes), dtype=bool)
+        feas = np.all(probe_g <= 0.0, axis=1)
         # Failed probes would inflate the ranges (and hence the
         # auto-scaled weights) by the penalty magnitude; scale from the
         # healthy probes only.
@@ -465,7 +456,7 @@ def goal_attainment_improved(
             x_final, gamma, success, message = _solve_gembicki_nlp(
                 problem, goals, weights, starts[k], counter, max_iterations
             )
-        candidate = _package(problem, counter, x_final, goals, weights,
+        candidate = _package(counter, x_final, goals, weights,
                              success, message, history=[])
         history.append(candidate.gamma)
         if _better(candidate, best):
@@ -490,7 +481,7 @@ def goal_attainment_improved(
                 problem, current_goals, weights, best.x, counter,
                 max_iterations
             )
-        candidate = _package(problem, counter, x_final, current_goals,
+        candidate = _package(counter, x_final, current_goals,
                              weights, success, message, history=[])
         history.append(candidate.gamma)
         if not candidate.success or candidate.constraint_violation > 1e-6:
@@ -506,7 +497,7 @@ def goal_attainment_improved(
             break
 
     # Report gamma against the *original* goals for comparability.
-    final = _package(problem, counter, best.x, goals, weights,
+    final = _package(counter, best.x, goals, weights,
                      best.success, best.message, history)
     if checkpoint_store is not None:
         checkpoint_store.clear()

@@ -238,73 +238,45 @@ def _evaluate(problem, population, health=None):
     if health is None:
         health = RunHealth()
     n = len(population)
-
-    objectives = None
-    if getattr(problem, "objectives_batch", None) is not None:
+    failed = np.zeros(n, dtype=bool)
+    try:
         # Population-level evaluation: one batched model solve for the
-        # whole generation (value-identical to the per-individual loop).
-        try:
-            objectives = np.asarray(problem.objectives_batch(population),
-                                    dtype=float)
-            if objectives.shape[0] != n:
-                raise ValueError(
-                    f"objectives_batch returned {objectives.shape[0]} "
-                    f"rows for a population of {n}"
-                )
-        except Exception:  # noqa: BLE001 - degrade to the scalar loop
-            health.retries += 1
-            objectives = None
-    if objectives is None:
-        objectives = np.empty((n, problem.n_objectives), dtype=float)
+        # whole generation, objectives and constraints together.
+        objectives, g = (np.asarray(a, dtype=float)
+                         for a in problem.evaluate(population))
+        if objectives.shape[0] != n or g.shape[0] != n:
+            raise ValueError(
+                f"evaluate returned {objectives.shape[0]} / {g.shape[0]} "
+                f"rows for a population of {n}"
+            )
+    except Exception:  # noqa: BLE001 - retry row by row
+        health.retries += 1
+        objectives = np.full((n, problem.n_objectives), PENALTY_OBJECTIVE)
+        rows: List[Optional[np.ndarray]] = []
         for i, x in enumerate(population):
             try:
-                objectives[i] = np.asarray(problem.objectives(x),
-                                           dtype=float)
+                f_i, g_i = problem.evaluate(x[None])
+                objectives[i] = np.asarray(f_i, dtype=float)[0]
+                rows.append(np.asarray(g_i, dtype=float)[0])
             except Exception as exc:  # noqa: BLE001 - absorb per candidate
                 health.record(classify_exception(exc))
-                objectives[i] = PENALTY_OBJECTIVE
+                failed[i] = True
+                rows.append(None)
+        width = max((r.size for r in rows if r is not None), default=0)
+        g = np.full((n, width), PENALTY_OBJECTIVE)
+        for i, r in enumerate(rows):
+            if r is not None:
+                g[i] = r
     bad = ~np.all(np.isfinite(objectives), axis=1)
     if np.any(bad):
         # Finite penalty, not inf: crowding distances must stay finite.
         health.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
         objectives[bad] = PENALTY_OBJECTIVE
-
-    if problem.constraints is None:
-        violations = np.zeros(n)
-        violations[bad] = PENALTY_OBJECTIVE  # failed => never "feasible"
-        return objectives, violations
-
-    g = None
-    if getattr(problem, "constraints_batch", None) is not None:
-        try:
-            g = np.asarray(problem.constraints_batch(population),
-                           dtype=float)
-            if g.shape[0] != n:
-                raise ValueError(
-                    f"constraints_batch returned {g.shape[0]} rows "
-                    f"for a population of {n}"
-                )
-        except Exception:  # noqa: BLE001 - degrade to the scalar loop
-            health.retries += 1
-            g = None
-    if g is None:
-        rows: List[Optional[np.ndarray]] = []
-        for x in population:
-            try:
-                rows.append(np.asarray(problem.constraints(x),
-                                       dtype=float).reshape(-1))
-            except Exception:  # noqa: BLE001 - absorb per candidate
-                # The objective pass is the canonical failure counter;
-                # a failed constraint row just forfeits feasibility.
-                rows.append(None)
-        width = max((r.size for r in rows if r is not None), default=1)
-        g = np.full((n, width), PENALTY_OBJECTIVE, dtype=float)
-        for i, r in enumerate(rows):
-            if r is not None:
-                g[i] = r
     g = np.where(np.isfinite(g), g, PENALTY_OBJECTIVE)
     violations = np.max(np.maximum(g, 0.0), axis=1, initial=0.0)
-    violations[bad] = np.maximum(violations[bad], PENALTY_OBJECTIVE)
+    # A failed candidate is never "feasible".
+    violations[bad | failed] = np.maximum(violations[bad | failed],
+                                          PENALTY_OBJECTIVE)
     return objectives, violations
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -698,19 +698,17 @@ def build_robust_problem(template: AmplifierTemplate,
     :func:`~repro.core.objectives.build_lna_problem` — evaluated at the
     *nominal* point, because shipping limits are judged per corner by
     the yield objective itself.  Nominal figures and corner sweeps
-    share one compiled engine; a one-entry memo makes the usual
-    objective-then-constraints call pattern cost a single evaluation.
+    share one compiled engine, and one ``evaluate`` call prices both
+    halves of every row.
     """
     spec = spec or DesignSpec()
     evaluator = evaluator or RobustEvaluator(template, **evaluator_kwargs)
     compiled = evaluator._compiled
-    memo: Dict[str, object] = {"key": None}
 
-    def _evaluate(unit_x: np.ndarray):
+    def evaluate(unit_x: np.ndarray):
         unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
-        key = unit_x.tobytes()
-        if memo["key"] == key:
-            return memo["objectives"], memo["constraints"]
+        if len(unit_x) == 0:  # the engine tiers need at least one row
+            return np.empty((0, 3)), np.empty((0, 5))
         nominal, _, _ = compiled.performance_batch_isolated(unit_x)
         robust = evaluator.evaluate_batch(unit_x)
         objectives = np.column_stack([
@@ -725,30 +723,14 @@ def build_robust_problem(template: AmplifierTemplate,
             nominal.gt_ripple_db - spec.ripple_spec_db,
             (nominal.ids - spec.ids_max) / spec.ids_max,
         ])
-        memo.update(key=key, objectives=objectives, constraints=constraints)
         return objectives, constraints
 
-    def objectives(x: np.ndarray) -> np.ndarray:
-        return _evaluate(x)[0][0]
-
-    def constraints(x: np.ndarray) -> np.ndarray:
-        return _evaluate(x)[1][0]
-
-    def objectives_batch(x: np.ndarray) -> np.ndarray:
-        return _evaluate(x)[0]
-
-    def constraints_batch(x: np.ndarray) -> np.ndarray:
-        return _evaluate(x)[1]
-
     return MultiObjectiveProblem(
-        objectives=objectives,
+        evaluate=evaluate,
         n_objectives=3,
         lower=np.zeros(_N_VARS),
         upper=np.ones(_N_VARS),
-        constraints=constraints,
         objective_names=("NFworst_dB", "-GTworst_dB", "-yield"),
-        objectives_batch=objectives_batch,
-        constraints_batch=constraints_batch,
     )
 
 

@@ -49,15 +49,14 @@ def weighted_sum(
     starts = latin_hypercube(n_starts, problem.lower, problem.upper, rng)
 
     def scalar(x):
-        return float(np.dot(weights, counter(x)))
+        return float(np.dot(weights, counter(x)[0]))
 
-    constraint_list = []
-    if problem.constraints is not None:
-        constraint_list.append(
-            {"type": "ineq",
-             "fun": lambda x: -np.asarray(problem.constraints(x),
-                                          dtype=float)}
-        )
+    # scipy differentiates the objective and this dict in separate
+    # stencils over the same points; the counted objective call has
+    # already priced each point, so the constraint side is uncounted.
+    constraint_list = [
+        {"type": "ineq", "fun": lambda x: -counter.uncounted(x)[1]},
+    ]
     best_x, best_value, best_success, best_message = None, np.inf, False, ""
     for x0 in starts:
         solution = sp_optimize.minimize(
@@ -66,10 +65,8 @@ def weighted_sum(
             constraints=constraint_list,
             options={"maxiter": max_iterations, "ftol": 1e-10},
         )
-        violation = 0.0
-        if problem.constraints is not None:
-            violation = float(np.max(np.maximum(
-                problem.constraints(solution.x), 0.0), initial=0.0))
+        violation = float(np.max(np.maximum(
+            counter.uncounted(solution.x)[1], 0.0), initial=0.0))
         if violation <= 1e-6 and solution.fun < best_value:
             best_x = np.clip(solution.x, problem.lower, problem.upper)
             best_value = float(solution.fun)
@@ -80,15 +77,12 @@ def weighted_sum(
         best_x = starts[0]
         best_success = False
         best_message = "no feasible weighted-sum solution found"
-    f = counter(best_x)
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(np.max(np.maximum(
-            problem.constraints(best_x), 0.0), initial=0.0))
+    f, g = counter(best_x)
     return GoalAttainmentResult(
         x=best_x, objectives=f, gamma=0.0, goals=f.copy(),
         weights=weights, nfev=counter.nfev, success=best_success,
-        constraint_violation=violation, message=best_message,
+        constraint_violation=float(np.max(np.maximum(g, 0.0), initial=0.0)),
+        message=best_message, health=counter.health,
     )
 
 
@@ -116,33 +110,25 @@ def epsilon_constraint(
     ]
 
     def scalar(x):
-        return float(counter(x)[primary_index])
+        return float(counter(x)[0][primary_index])
 
     def eps_constraints(x):
-        f = counter(x)
-        return np.array([epsilons[i] - f[i] for i in secondary])
+        # The epsilon bounds and the hard constraints in one block
+        # (all must be >= 0), so SLSQP builds one stencil for both.
+        f, g = counter(x)
+        return np.concatenate([epsilons[secondary] - f[secondary], -g])
 
-    constraint_list = [{"type": "ineq", "fun": eps_constraints}]
-    if problem.constraints is not None:
-        constraint_list.append(
-            {"type": "ineq",
-             "fun": lambda x: -np.asarray(problem.constraints(x),
-                                          dtype=float)}
-        )
     best_x, best_value, best_success, best_message = None, np.inf, False, ""
     for x0 in starts:
         solution = sp_optimize.minimize(
             scalar, x0, method="SLSQP",
             bounds=list(zip(problem.lower, problem.upper)),
-            constraints=constraint_list,
+            constraints=[{"type": "ineq", "fun": eps_constraints}],
             options={"maxiter": max_iterations, "ftol": 1e-10},
         )
         x_sol = np.clip(solution.x, problem.lower, problem.upper)
         violation = float(np.max(np.maximum(
             -eps_constraints(x_sol), 0.0), initial=0.0))
-        if problem.constraints is not None:
-            violation = max(violation, float(np.max(np.maximum(
-                problem.constraints(x_sol), 0.0), initial=0.0)))
         if violation <= 1e-6 and solution.fun < best_value:
             best_x, best_value = x_sol, float(solution.fun)
             best_success = bool(solution.success)
@@ -151,14 +137,11 @@ def epsilon_constraint(
         best_x = starts[0]
         best_success = False
         best_message = "no feasible epsilon-constraint solution found"
-    f = counter(best_x)
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(np.max(np.maximum(
-            problem.constraints(best_x), 0.0), initial=0.0))
+    f, g = counter(best_x)
     return GoalAttainmentResult(
         x=best_x, objectives=f, gamma=0.0, goals=epsilons,
         weights=np.ones(problem.n_objectives), nfev=counter.nfev,
-        success=best_success, constraint_violation=violation,
-        message=best_message,
+        success=best_success,
+        constraint_violation=float(np.max(np.maximum(g, 0.0), initial=0.0)),
+        message=best_message, health=counter.health,
     )

@@ -604,8 +604,11 @@ class TestOptimizerSeeding:
         assert result.fun <= sphere(seeds[0])
 
         problem = MultiObjectiveProblem(
-            objectives=lambda x: np.array([sphere(x),
-                                           sphere(x - 0.5)]),
+            evaluate=lambda x: (
+                np.column_stack([np.sum(x ** 2, axis=1),
+                                 np.sum((x - 0.5) ** 2, axis=1)]),
+                np.empty((len(x), 0)),
+            ),
             n_objectives=2,
             lower=np.array([-1.0, -1.0]),
             upper=np.array([1.0, 1.0]),

@@ -295,12 +295,21 @@ def _biobjective_problem():
     return objectives
 
 
+def _rowwise(fn, constrained=False):
+    """``evaluate`` applying *fn* to each row; *constrained* adds the
+    hard constraint x0 >= 0.6."""
+    def evaluate(x):
+        g = 0.6 - x[:, :1] if constrained else np.empty((len(x), 0))
+        return np.array([fn(row) for row in x]).reshape(-1, 2), g
+    return evaluate
+
+
 def test_nsga2_kill_and_resume_bit_for_bit():
     objectives = _biobjective_problem()
 
     def make_problem(fn):
         return MultiObjectiveProblem(
-            objectives=fn, n_objectives=2,
+            evaluate=_rowwise(fn), n_objectives=2,
             lower=np.zeros(2), upper=np.ones(2),
         )
 
@@ -324,11 +333,20 @@ def test_nsga2_kill_and_resume_bit_for_bit():
 
 
 def test_goal_attainment_improved_kill_and_resume():
+    _check_improved_kill_and_resume(constrained=False)
+
+
+def test_goal_attainment_improved_kill_and_resume_with_constraints():
+    # The counter's checkpointed memo then carries a non-empty g.
+    _check_improved_kill_and_resume(constrained=True)
+
+
+def _check_improved_kill_and_resume(constrained):
     objectives = _biobjective_problem()
 
     def make_problem(fn):
         return MultiObjectiveProblem(
-            objectives=fn, n_objectives=2,
+            evaluate=_rowwise(fn, constrained), n_objectives=2,
             lower=np.zeros(2), upper=np.ones(2),
         )
 
@@ -350,6 +368,7 @@ def test_goal_attainment_improved_kill_and_resume():
     assert resumed.gamma == clean.gamma
     assert resumed.nfev == clean.nfev
     assert resumed.history == clean.history
+    assert resumed.constraint_violation == clean.constraint_violation
     assert store.load() is None
 
 

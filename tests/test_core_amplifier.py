@@ -115,8 +115,8 @@ class TestObjectives:
         evaluator = LnaEvaluator(template)
         problem = build_lna_problem(template, evaluator=evaluator)
         unit_x = DesignVariables().to_unit()
-        objectives = problem.objectives(unit_x)
-        constraints = problem.constraints(unit_x)
+        f, g = problem.evaluate(unit_x[None])
+        objectives, constraints = f[0], g[0]
         perf = evaluator.performance(unit_x)
         assert objectives[0] == pytest.approx(perf.nf_max_db)
         assert objectives[1] == pytest.approx(-perf.gt_min_db)
@@ -128,10 +128,10 @@ class TestObjectives:
         evaluator = LnaEvaluator(template)
         problem = build_lna_problem(template, evaluator=evaluator)
         unit_x = DesignVariables().to_unit()
-        problem.objectives(unit_x)
+        problem.evaluate(unit_x[None])
         solves_after_first = evaluator.n_solves
-        problem.constraints(unit_x)
-        problem.objectives(unit_x)
+        problem.evaluate(unit_x[None])
+        problem.evaluate(np.vstack([unit_x, unit_x]))
         assert evaluator.n_solves == solves_after_first
 
     def test_spec_fields(self):

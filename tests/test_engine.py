@@ -11,19 +11,16 @@ import numpy as np
 import pytest
 
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
+from repro.core.design import DEFAULT_GOALS
 from repro.core.engine import CompiledTemplate, CompileError
 from repro.core.objectives import LnaEvaluator, build_lna_problem
 from repro.experiments.common import reference_device, selected_design
 from repro.optimize.batching import PopulationEvaluator
-from repro.optimize.goal_attainment import (
-    MultiObjectiveProblem,
-    goal_attainment_improved,
-)
+from repro.optimize.goal_attainment import goal_attainment_standard
 from repro.optimize.metaheuristics import (
     differential_evolution,
     particle_swarm,
 )
-from repro.optimize.nsga2 import nsga2
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +168,37 @@ class TestBatchObjectiveProtocol:
         problem = build_lna_problem(template)
         x = np.full(len(DesignVariables.NAMES), 0.5)
         batch = np.vstack([x, x * 0.8])
-        f_batch = problem.objectives_batch(batch)
-        g_batch = problem.constraints_batch(batch)
-        np.testing.assert_allclose(f_batch[0], problem.objectives(x),
-                                   atol=1e-12)
-        np.testing.assert_allclose(g_batch[0], problem.constraints(x),
-                                   atol=1e-12)
+        f_batch, g_batch = problem.evaluate(batch)
         assert f_batch.shape == (2, 2)
         assert g_batch.shape == (2, 5)
+        for row in range(2):
+            f_row, g_row = problem.evaluate(batch[row][None])
+            np.testing.assert_array_equal(f_batch[row], f_row[0])
+            np.testing.assert_array_equal(g_batch[row], g_row[0])
+        f_empty, g_empty = problem.evaluate(batch[:0])
+        assert f_empty.shape == (0, 2) and g_empty.shape == (0, 5)
+
+    def test_standard_goal_attainment_makes_one_call_per_evaluation(
+            self, template):
+        evaluator = LnaEvaluator(template)
+        calls = {"batch": 0, "scalar": 0}
+        batch, scalar = evaluator.performance_batch, evaluator.performance
+
+        def counted_batch(x):
+            calls["batch"] += 1
+            return batch(x)
+
+        def counted_scalar(x):
+            calls["scalar"] += 1
+            return scalar(x)
+
+        evaluator.performance_batch = counted_batch
+        evaluator.performance = counted_scalar
+        problem = build_lna_problem(template, evaluator=evaluator)
+        result = goal_attainment_standard(problem, DEFAULT_GOALS,
+                                          max_iterations=5)
+        assert result.nfev > 0
+        assert calls == {"batch": result.nfev, "scalar": 0}
 
     def test_population_evaluator_matches_loop(self):
         def sphere(x):
@@ -226,57 +246,3 @@ class TestBatchObjectiveProtocol:
         )
         assert result.fun < 1e-6
         assert result.nfev == 20 * (1 + result.n_iterations)
-
-    def test_nsga2_batch_matches_scalar_run(self):
-        def objectives(x):
-            return np.array([x[0], (1.0 + x[1]) / max(x[0], 1e-9)])
-
-        def objectives_batch(x):
-            return np.column_stack([
-                x[:, 0], (1.0 + x[:, 1]) / np.maximum(x[:, 0], 1e-9)
-            ])
-
-        base = dict(n_objectives=2, lower=np.array([0.1, 0.0]),
-                    upper=np.array([1.0, 5.0]))
-        scalar_problem = MultiObjectiveProblem(objectives=objectives, **base)
-        batch_problem = MultiObjectiveProblem(
-            objectives=objectives, objectives_batch=objectives_batch, **base
-        )
-        kwargs = dict(population_size=16, n_generations=12, seed=2)
-        front_scalar = nsga2(scalar_problem, **kwargs)
-        front_batch = nsga2(batch_problem, **kwargs)
-        np.testing.assert_allclose(front_batch.x, front_scalar.x,
-                                   atol=1e-12)
-        assert front_batch.nfev == front_scalar.nfev
-
-    def test_improved_goal_attainment_batch_probe_matches(self):
-        def objectives(x):
-            return np.array([np.sum((x - 0.3) ** 2),
-                             np.sum((x - 0.7) ** 2)])
-
-        def objectives_batch(x):
-            return np.column_stack([
-                np.sum((x - 0.3) ** 2, axis=1),
-                np.sum((x - 0.7) ** 2, axis=1),
-            ])
-
-        def constraints(x):
-            return np.array([x[0] - 0.9])
-
-        def constraints_batch(x):
-            return x[:, :1] - 0.9
-
-        base = dict(n_objectives=2, lower=np.zeros(2), upper=np.ones(2),
-                    constraints=constraints)
-        scalar_problem = MultiObjectiveProblem(objectives=objectives, **base)
-        batch_problem = MultiObjectiveProblem(
-            objectives=objectives, objectives_batch=objectives_batch,
-            constraints_batch=constraints_batch, **base
-        )
-        goals = np.array([0.05, 0.05])
-        r_scalar = goal_attainment_improved(scalar_problem, goals, seed=4,
-                                            n_probe=16, n_starts=2)
-        r_batch = goal_attainment_improved(batch_problem, goals, seed=4,
-                                           n_probe=16, n_starts=2)
-        np.testing.assert_allclose(r_batch.x, r_scalar.x, atol=1e-10)
-        assert r_batch.nfev == r_scalar.nfev

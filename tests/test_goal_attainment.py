@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.dc import DcConvergenceError
+from repro.optimize.faults import CATEGORY_DC
 from repro.optimize.goal_attainment import (
+    PENALTY_OBJECTIVE,
     MultiObjectiveProblem,
     goal_attainment_improved,
     goal_attainment_standard,
@@ -11,14 +14,22 @@ from repro.optimize.goal_attainment import (
 from repro.optimize.scalarization import epsilon_constraint, weighted_sum
 
 
+def _unconstrained(x):
+    return np.empty((len(x), 0))
+
+
+def _convex_objectives(x):
+    return np.column_stack([
+        (x[:, 0] - 1) ** 2 + x[:, 1] ** 2,
+        (x[:, 0] + 1) ** 2 + x[:, 1] ** 2,
+    ])
+
+
 def convex_biobjective():
     """f1 = |x - (1,0)|^2, f2 = |x + (1,0)|^2: Pareto set is the segment
     x in [-1, 1] x {0}."""
     return MultiObjectiveProblem(
-        objectives=lambda x: np.array([
-            (x[0] - 1) ** 2 + x[1] ** 2,
-            (x[0] + 1) ** 2 + x[1] ** 2,
-        ]),
+        evaluate=lambda x: (_convex_objectives(x), _unconstrained(x)),
         n_objectives=2,
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
@@ -29,28 +40,50 @@ def constrained_problem():
     """Same objectives but x0 >= 0.25 required."""
     base = convex_biobjective()
     return MultiObjectiveProblem(
-        objectives=base.objectives,
+        evaluate=lambda x: (_convex_objectives(x), 0.25 - x[:, :1]),
         n_objectives=2,
         lower=base.lower,
         upper=base.upper,
-        constraints=lambda x: np.array([0.25 - x[0]]),
     )
 
 
 def nonconvex_biobjective():
     """A classic nonconvex front (Fonseca-Fleming style, 1-D)."""
 
-    def objectives(x):
-        t = x[0]
+    def evaluate(x):
+        t = x[:, 0]
         f1 = 1 - np.exp(-((t - 1) ** 2))
         f2 = 1 - np.exp(-((t + 1) ** 2))
-        return np.array([f1, f2])
+        return np.column_stack([f1, f2]), _unconstrained(x)
 
     return MultiObjectiveProblem(
-        objectives=objectives,
+        evaluate=evaluate,
         n_objectives=2,
         lower=np.array([-2.0]),
         upper=np.array([2.0]),
+    )
+
+
+class _DivergentBias:
+    """``constrained_problem``'s evaluation, but the DC solve of any
+    batch holding a row with x0 > 0.8 raises ``DcConvergenceError``."""
+
+    def __init__(self):
+        self.raised = 0
+
+    def __call__(self, x):
+        if np.any(x[:, 0] > 0.8):
+            self.raised += 1
+            raise DcConvergenceError("bias point did not converge")
+        return _convex_objectives(x), 0.25 - x[:, :1]
+
+
+def divergent_problem():
+    evaluate = _DivergentBias()
+    base = convex_biobjective()
+    return evaluate, MultiObjectiveProblem(
+        evaluate=evaluate, n_objectives=2, lower=base.lower,
+        upper=base.upper,
     )
 
 
@@ -186,3 +219,52 @@ class TestScalarizationBaselines:
         f1_values = [p[0] for p in points]
         # Tighter epsilon on f2 forces larger f1.
         assert f1_values[0] > f1_values[1] > f1_values[2]
+
+
+class TestFailingEvaluations:
+    """A raising evaluation is one penalized, counted, recorded row.
+
+    Each test's failures all come from counted evaluations, so the
+    recorded DC failures equal the raising calls (plus the probe batch
+    the improved method retries row by row).
+    """
+
+    def test_standard_survives_failing_start(self):
+        evaluate, problem = divergent_problem()
+        result = goal_attainment_standard(problem, goals=[1.0, 1.0],
+                                          x0=np.array([0.9, 0.5]))
+        assert evaluate.raised > 0
+        assert result.health.failures[CATEGORY_DC] == evaluate.raised
+        assert result.health.n_failures == evaluate.raised
+        assert result.nfev >= evaluate.raised
+        # The start is the failed row: f = g = PENALTY_OBJECTIVE.
+        np.testing.assert_array_equal(result.objectives, PENALTY_OBJECTIVE)
+        assert result.constraint_violation == PENALTY_OBJECTIVE
+
+    def test_improved_survives_failing_region(self):
+        evaluate, problem = divergent_problem()
+        result = goal_attainment_improved(problem, goals=[1.0, 1.0],
+                                          seed=0, n_probe=16, n_starts=2)
+        health = result.health
+        assert health.failures[CATEGORY_DC] > 0
+        assert health.failures[CATEGORY_DC] + health.retries \
+            == evaluate.raised
+        assert result.x[0] <= 0.8
+        assert result.constraint_violation <= 1e-6
+
+    def test_weighted_sum_survives_failing_region(self):
+        evaluate, problem = divergent_problem()
+        result = weighted_sum(problem, [1.0, 1.0], seed=0, n_starts=6)
+        assert evaluate.raised > 0
+        assert result.health.failures[CATEGORY_DC] > 0
+        assert result.x[0] <= 0.8
+        assert result.constraint_violation <= 1e-6
+
+    def test_epsilon_constraint_survives_failing_region(self):
+        evaluate, problem = divergent_problem()
+        result = epsilon_constraint(problem, 0, [np.inf, 2.0], seed=0,
+                                    n_starts=6)
+        assert evaluate.raised > 0
+        assert result.health.failures[CATEGORY_DC] == evaluate.raised
+        assert result.x[0] <= 0.8
+        assert result.constraint_violation <= 1e-6

@@ -11,14 +11,14 @@ from repro.optimize.pareto import pareto_filter
 def zdt1_like(dim=5):
     """A ZDT1-style problem: front at g(x)=1, f2 = 1 - sqrt(f1)."""
 
-    def objectives(x):
-        f1 = x[0]
-        g = 1.0 + 9.0 * np.mean(x[1:])
-        f2 = g * (1.0 - np.sqrt(max(f1, 0.0) / g))
-        return np.array([f1, f2])
+    def evaluate(x):
+        f1 = x[:, 0]
+        g = 1.0 + 9.0 * np.mean(x[:, 1:], axis=1)
+        f2 = g * (1.0 - np.sqrt(np.maximum(f1, 0.0) / g))
+        return np.column_stack([f1, f2]), np.empty((len(x), 0))
 
     return MultiObjectiveProblem(
-        objectives=objectives,
+        evaluate=evaluate,
         n_objectives=2,
         lower=np.zeros(dim),
         upper=np.ones(dim),
@@ -27,14 +27,16 @@ def zdt1_like(dim=5):
 
 def constrained_biobjective():
     return MultiObjectiveProblem(
-        objectives=lambda x: np.array([
-            (x[0] - 1) ** 2 + x[1] ** 2,
-            (x[0] + 1) ** 2 + x[1] ** 2,
-        ]),
+        evaluate=lambda x: (
+            np.column_stack([
+                (x[:, 0] - 1) ** 2 + x[:, 1] ** 2,
+                (x[:, 0] + 1) ** 2 + x[:, 1] ** 2,
+            ]),
+            0.25 - x[:, :1],
+        ),
         n_objectives=2,
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
-        constraints=lambda x: np.array([0.25 - x[0]]),
     )
 
 

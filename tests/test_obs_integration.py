@@ -48,9 +48,11 @@ def _biobjective(x):
 
 
 def _problem(fn=_biobjective):
+    """Unconstrained biobjective problem, *fn* applied row by row."""
     return MultiObjectiveProblem(
-        objectives=fn, n_objectives=2,
-        lower=np.zeros(2), upper=np.ones(2),
+        evaluate=lambda x: (np.array([fn(row) for row in x]).reshape(-1, 2),
+                            np.empty((len(x), 0))),
+        n_objectives=2, lower=np.zeros(2), upper=np.ones(2),
     )
 
 

@@ -359,8 +359,11 @@ class TestRobustProblem:
             template, evaluator=_evaluator(template))
         x = np.full(N_VARS, 0.5)
         assert problem.n_objectives == 3
-        assert problem.objectives(x).shape == (3,)
-        assert problem.constraints(x).shape == (5,)
+        f, g = problem.evaluate(x[None])
+        assert f.shape == (1, 3)
+        assert g.shape == (1, 5)
+        f, g = problem.evaluate(np.empty((0, N_VARS)))
+        assert f.shape == (0, 3) and g.shape == (0, 5)
         assert problem.objective_names == ("NFworst_dB", "-GTworst_dB",
                                            "-yield")
 
@@ -368,15 +371,15 @@ class TestRobustProblem:
         evaluator = _evaluator(template)
         problem = build_robust_problem(template, evaluator=evaluator)
         x = np.full(N_VARS, 0.5)
-        problem.objectives(x)
-        problem.constraints(x)  # same point: served from the memo
+        f, g = problem.evaluate(x[None])  # both halves, one sweep
         assert evaluator.n_sweeps == 1
-        problem.objectives(np.full(N_VARS, 0.4))
+        assert f.shape == (1, 3) and g.shape == (1, 5)
+        problem.evaluate(np.full(N_VARS, 0.4)[None])
         assert evaluator.n_sweeps == 2
 
 
 class _KillAfterBatches:
-    """Batch-objective wrapper that interrupts after n calls."""
+    """``problem.evaluate`` wrapper that interrupts after n calls."""
 
     def __init__(self, fn, n_calls):
         self._fn = fn
@@ -396,8 +399,8 @@ class TestRobustNsga2:
                                screen_fraction=0.5, min_screen_history=12)
         problem = build_robust_problem(template, evaluator=evaluator)
         if kill_after is not None:
-            problem.objectives_batch = _KillAfterBatches(
-                problem.objectives_batch, kill_after)
+            problem.evaluate = _KillAfterBatches(problem.evaluate,
+                                                 kill_after)
         return evaluator, problem
 
     def test_front_smoke(self, template):
