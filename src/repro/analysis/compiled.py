@@ -229,45 +229,34 @@ def _noise_source_row(source: BatchNoiseSource, index: int,
     return BatchNoiseSource(source.columns, psd)
 
 
-def _finite_rows(*arrays: Optional[np.ndarray]) -> np.ndarray:
+def _finite_rows(*arrays: np.ndarray) -> np.ndarray:
     """Boolean (B,) mask of batch rows whose entries are all finite."""
-    mask = None
+    mask = np.ones(arrays[0].shape[0], dtype=bool)
     for array in arrays:
-        if array is None:
-            continue
-        flat = np.isfinite(array).reshape(array.shape[0], -1).all(axis=1)
-        mask = flat if mask is None else mask & flat
+        mask &= np.isfinite(array).reshape(array.shape[0], -1).all(axis=1)
     return mask
 
 
-def _solve_row_equilibrated(
+def _solve_row(
     y_row: np.ndarray,
     port_rows: np.ndarray,
     z0: float,
     row_sources: Sequence[BatchNoiseSource],
-    probe_rows: Sequence[int],
-):
-    """Conditioning escalation for one failed batch row.
+    solve=np.linalg.solve,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Solve one ``(1, F, n, n)`` batch row on its own with *solve*.
 
-    Re-solves a single ``(1, F, n, n)`` slice through the
-    equilibrated-and-refined solver.  Returns ``(s, cy, transfers)``
-    on success, ``None`` when the row is beyond rescue.  Only called
-    on rows the plain factorization already failed, so healthy rows
-    keep their bit-for-bit results.
+    Returns the row's ``(s, cy)``, or ``None`` when the solve raises or
+    its results are not finite.
     """
-    if not _guard_modes.enabled():
-        return None
     try:
-        s_i, cy_i, tr_i = solve_tensor_batch(
-            y_row, port_rows, z0, row_sources, probe_rows,
-            _solve=equilibrated_solve,
-        )
+        s_i, cy_i, _ = solve_tensor_batch(y_row, port_rows, z0,
+                                          row_sources, _solve=solve)
     except (ValueError, np.linalg.LinAlgError):
         return None
-    if not _finite_rows(s_i, cy_i, tr_i)[0]:
+    if not _finite_rows(s_i, cy_i)[0]:
         return None
-    _obs_metrics.inc("mna.equilibrated_rescues")
-    return s_i, cy_i, tr_i
+    return s_i[0], cy_i[0]
 
 
 def solve_tensor_batch_isolated(
@@ -275,27 +264,27 @@ def solve_tensor_batch_isolated(
     port_rows: np.ndarray,
     z0: float,
     noise_sources: Sequence[BatchNoiseSource] = (),
-    probe_rows: Sequence[int] = (),
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`solve_tensor_batch` with per-candidate failure isolation.
 
-    The fast path is the ordinary full-batch factorization.  When it
-    raises on a singular candidate, each row is re-solved on its own,
-    so one degenerate design can no longer fail the whole population;
-    rows that are singular (or produce non-finite results) come back
-    zero-filled with their ``failed`` flag set.  *y_batch* is never mutated — the
-    kernel adds reference loads to internal copies.
+    The fast path is the ordinary full-batch factorization.  Rows it
+    cannot deliver take one rescue loop, each row on its own: a plain
+    re-solve (only when the full batch raised, so one singular
+    candidate cannot sink the rest), then — with guards enabled — the
+    equilibrated-and-refined escalation.  Rows beyond rescue come back
+    zero-filled with their ``failed`` flag set.  *y_batch* is never
+    mutated — the kernel adds reference loads to internal copies.
 
-    Returns ``(s, cy, node_transfers, failed)`` where ``failed`` is a
-    boolean ``(B,)`` mask; healthy rows carry exactly the values the
-    raising-variant would have produced for them.
+    Returns ``(s, cy, failed)`` where ``failed`` is a boolean ``(B,)``
+    mask; rows the full-batch factorization delivered are exactly
+    :func:`solve_tensor_batch`'s values for them.
     """
     if y_batch.ndim != 4 or y_batch.shape[-1] != y_batch.shape[-2]:
         raise ValueError(
             f"expected (B, F, n, n) admittance tensor, got {y_batch.shape}"
         )
     n_batch, n_freq = y_batch.shape[:2]
-    n_ports = np.asarray(port_rows, dtype=int).size
+    port_rows = np.asarray(port_rows, dtype=int)
     with _obs_tracer.span("mna.solve_tensor_batch_isolated",
                           batch=n_batch, n_freq=n_freq):
         if _guard_modes.enabled():
@@ -303,84 +292,45 @@ def solve_tensor_batch_isolated(
             # mid-band matrix of the first candidate (with its port
             # loads) stands in for the batch in the per-run histogram.
             sample = y_batch[0, n_freq // 2].copy()
-            for row in np.asarray(port_rows, dtype=int):
+            for row in port_rows:
                 sample[row, row] += 1.0 / z0
             observe_condition(sample, "mna")
         try:
-            s, cy, transfers = solve_tensor_batch(
-                y_batch, port_rows, z0, noise_sources, probe_rows,
-            )
+            s, cy, _ = solve_tensor_batch(y_batch, port_rows, z0,
+                                          noise_sources)
         except (ValueError, np.linalg.LinAlgError):
-            pass  # fall through to the per-row path below
+            _obs_metrics.inc("mna.batch_refactorizations")
+            batch_raised = True
+            s = np.zeros((n_batch, n_freq, port_rows.size, port_rows.size),
+                         dtype=complex)
+            cy = np.zeros_like(s)
+            failed = np.ones(n_batch, dtype=bool)
         else:
-            failed = ~_finite_rows(s, cy, transfers)
-            for i in np.flatnonzero(failed):
-                # Escalation: equilibrated re-solve of the failing row
-                # before it is written off (healthy rows untouched).
-                row_sources = [_noise_source_row(src, i, n_batch)
-                               for src in noise_sources]
-                rescued = _solve_row_equilibrated(
-                    y_batch[i:i + 1], port_rows, z0, row_sources,
-                    probe_rows,
-                )
-                if rescued is None:
-                    continue
-                s[i], cy[i] = rescued[0][0], rescued[1][0]
-                if transfers is not None and rescued[2] is not None:
-                    transfers[i] = rescued[2][0]
-                failed[i] = False
-            if np.any(failed):
-                _obs_metrics.inc("mna.failed_rows", int(np.sum(failed)))
-                s[failed] = 0.0
-                cy[failed] = 0.0
-                if transfers is not None:
-                    transfers[failed] = 0.0
-            return s, cy, transfers, failed
+            batch_raised = False
+            failed = ~_finite_rows(s, cy)
 
-        # Full-batch factorization failed outright: re-solve each row on
-        # its own so one degenerate candidate cannot sink the rest.
-        _obs_metrics.inc("mna.batch_refactorizations")
-        s = np.zeros((n_batch, n_freq, n_ports, n_ports), dtype=complex)
-        cy = np.zeros_like(s)
-        transfers = None
-        if len(probe_rows):
-            transfers = np.zeros(
-                (n_batch, n_freq, len(probe_rows), n_ports), dtype=complex
-            )
-        failed = np.zeros(n_batch, dtype=bool)
-        for i in range(n_batch):
+        for i in np.flatnonzero(failed):
+            y_row = y_batch[i:i + 1]
             row_sources = [_noise_source_row(src, i, n_batch)
                            for src in noise_sources]
-            try:
-                s_i, cy_i, tr_i = solve_tensor_batch(
-                    y_batch[i:i + 1], port_rows, z0, row_sources,
-                    probe_rows,
-                )
-            except (ValueError, np.linalg.LinAlgError):
-                rescued = _solve_row_equilibrated(
-                    y_batch[i:i + 1], port_rows, z0, row_sources,
-                    probe_rows,
-                )
-                if rescued is None:
-                    failed[i] = True
-                    continue
-                s_i, cy_i, tr_i = rescued
-            if not _finite_rows(s_i, cy_i, tr_i)[0]:
-                rescued = _solve_row_equilibrated(
-                    y_batch[i:i + 1], port_rows, z0, row_sources,
-                    probe_rows,
-                )
-                if rescued is None:
-                    failed[i] = True
-                    continue
-                s_i, cy_i, tr_i = rescued
-            s[i] = s_i[0]
-            cy[i] = cy_i[0]
-            if transfers is not None and tr_i is not None:
-                transfers[i] = tr_i[0]
+            # A row the full batch delivered non-finite would come back
+            # the same from a plain re-solve; only escalate it.
+            solved = (_solve_row(y_row, port_rows, z0, row_sources)
+                      if batch_raised else None)
+            if solved is None and _guard_modes.enabled():
+                solved = _solve_row(y_row, port_rows, z0, row_sources,
+                                    solve=equilibrated_solve)
+                if solved is not None:
+                    _obs_metrics.inc("mna.equilibrated_rescues")
+            if solved is None:
+                s[i] = 0.0
+                cy[i] = 0.0
+                continue
+            s[i], cy[i] = solved
+            failed[i] = False
         if np.any(failed):
             _obs_metrics.inc("mna.failed_rows", int(np.sum(failed)))
-        return s, cy, transfers, failed
+        return s, cy, failed
 
 
 def solve_ac_batch(circuits: Sequence[Circuit], frequency: FrequencyGrid,

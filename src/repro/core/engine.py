@@ -19,11 +19,20 @@ netlist **once** into a *stamp plan*:
 
 Per-candidate assembly is then pure vectorized NumPy — broadcast the
 base tensor to ``(B, F, n, n)``, add ``signs * value`` at the
-precomputed indices — and one call to
-:func:`repro.analysis.compiled.solve_tensor_batch` solves the design
-grid *and* the stability guard grid for all candidates at once (the two
-grids are fused along the frequency axis; rows are independent in MNA,
-so the fused solve is exact).
+precomputed indices — and
+:func:`repro.analysis.compiled.solve_tensor_batch_isolated` solves the
+design grid *and* the stability guard grid for all candidates at once
+(the two grids share one stamped tensor along a fused frequency axis;
+rows are independent in MNA, so the split solve is exact).
+
+Every public entry point runs one fault-isolated core,
+:meth:`CompiledTemplate._batch_isolated`: compiled batch solve, then the
+scalar :meth:`AmplifierTemplate.evaluate` for the rows it cannot
+deliver, then finite penalty figures.  The ``*_isolated`` methods
+return the core's batch with its per-row failures;
+:meth:`CompiledTemplate.performance_batch` and
+:meth:`~CompiledTemplate.performance_batch_physical` are strict views
+of it that raise ``ValueError`` when any row ended as a penalty.
 
 The constructor is the one place a solve tier is chosen:
 ``CompiledTemplate(..., solver="dense")`` (the default, used by
@@ -56,7 +65,9 @@ from repro.analysis.acsolver import (
     _collect_noise_sources,
     _injection,
 )
-from repro.analysis.compiled import (
+# ``solve_tensor_batch`` is re-exported beside the isolated kernel the
+# engine calls: perfbench wraps both dense kernels by their names here.
+from repro.analysis.compiled import (  # noqa: F401 - re-export
     BatchNoiseSource,
     solve_tensor_batch,
     solve_tensor_batch_isolated,
@@ -278,7 +289,7 @@ class CompiledTemplate:
         # The value model is the one list of design-dependent elements:
         # every name it returns a value for is stamped per candidate.
         values = self._candidate_values(
-            DesignVariables().to_vector()[None, :], bad_bias="mask"
+            DesignVariables().to_vector()[None, :]
         )
         variable_names = set().union(*values[:3])
         missing = variable_names - names
@@ -531,8 +542,7 @@ class CompiledTemplate:
         return s, cy
 
     # -- per-candidate values ----------------------------------------------
-    def _candidate_values(self, x_physical: np.ndarray,
-                          bad_bias: str = "raise"):
+    def _candidate_values(self, x_physical: np.ndarray):
         """Vectorized element values for a (B, n_vars) design matrix.
 
         Returns ``(admittances, scalar_psds, block_psds, ids, bad_mask)``
@@ -542,11 +552,9 @@ class CompiledTemplate:
         flagging candidates whose bias point is unusable (``gds <= 0``
         or non-finite small-signal parameters).
 
-        ``bad_bias="raise"`` (the default, used by :meth:`solve_batch`)
-        raises ``ValueError`` when any candidate is flagged;
-        ``bad_bias="mask"`` substitutes a benign placeholder bias for
-        the flagged rows — keeping the tensor solvable for the healthy
-        rows — and leaves the caller to overwrite them with penalties.
+        Flagged rows get a benign placeholder bias, which keeps the
+        tensor solvable for the healthy rows; :meth:`_batch_isolated`
+        overwrites them with ``bad_bias`` penalty figures.
         """
         index = {name: k for k, name in enumerate(DesignVariables.NAMES)}
         col = lambda name: x_physical[:, index[name]]  # noqa: E731
@@ -602,15 +610,6 @@ class CompiledTemplate:
             | (np.nan_to_num(gds, nan=-1.0) <= 0)
         )
         if np.any(bad_mask):
-            if bad_bias != "mask":
-                bad = np.flatnonzero(bad_mask)
-                raise ValueError(
-                    f"candidates {bad.tolist()} bias the device outside "
-                    "the saturated forward region (gds <= 0)"
-                )
-            # Placeholder bias keeps the stamped tensor well-defined for
-            # the healthy rows; the flagged rows are overwritten with
-            # penalty figures by performance_batch_isolated.
             gm = np.where(bad_mask, 0.0, gm)
             gds = np.where(bad_mask, 1e-3, gds)
             ids = np.where(bad_mask, 0.0, ids)
@@ -630,51 +629,6 @@ class CompiledTemplate:
         return admittances, scalar_psds, block_psds, ids, bad_mask
 
     # -- solving ------------------------------------------------------------
-    def solve_batch(self, x_physical: np.ndarray):
-        """Fused-grid batch solve for (B, n_vars) physical design vectors.
-
-        Returns ``(s, cy_band, ids)``: S-parameters ``(B, F_fused, 2, 2)``
-        over the fused band+guard axis, the port noise correlation on
-        the design band only (``(B, n_band, 2, 2)`` — the guard grid
-        feeds the stability margin, which needs no noise), and the
-        drain bias currents ``(B,)``.
-        """
-        x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
-        n_batch = x_physical.shape[0]
-        values = self._candidate_values(x_physical)
-        ids = values[3]
-        if self.solver == "sparse":
-            # One condensed adjoint solve of the whole fused axis; the
-            # noise columns ride in the precomputed reduced RHS.
-            admittances, scalar_psds, block_psds = values[:3]
-            try:
-                v_ports = self._plan.solve_rows(admittances, n_batch,
-                                                update="auto")
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    "singular circuit (floating node or degenerate "
-                    f"element): {exc}"
-                ) from None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                                  scalar_psds, block_psds)
-            return s, cy_band, ids
-        y_batch, noise_sources = self._stamped_batch(n_batch, *values[:3])
-        n_band = self._n_band
-
-        # Two batched solves sharing the stamped tensor: the band slice
-        # carries the signal *and* noise right-hand sides, the guard
-        # slice only the two port columns (its noise response is never
-        # consumed).  Per-frequency independence makes the split exact.
-        s_band, cy_band, _ = solve_tensor_batch(
-            y_batch[:, :n_band], self._port_rows, self._z0, noise_sources
-        )
-        s_guard, _, _ = solve_tensor_batch(
-            y_batch[:, n_band:], self._port_rows, self._z0
-        )
-        s = np.concatenate([s_band, s_guard], axis=1)
-        return s, cy_band, ids
-
     def _stamped_batch(self, n_batch: int, admittances, scalar_psds,
                        block_psds):
         """Stamp the (B, F, n, n) tensor and band noise-source list."""
@@ -702,61 +656,6 @@ class CompiledTemplate:
     def _to_physical(unit_x: np.ndarray) -> np.ndarray:
         lower, upper = DesignVariables.LOWER, DesignVariables.UPPER
         return lower + np.clip(unit_x, 0.0, 1.0) * (upper - lower)
-
-    def performance_batch(self, unit_x: np.ndarray) -> BatchPerformance:
-        """Figures of merit for a (B, n_vars) batch of unit-box vectors.
-
-        Matches ``[template.evaluate(DesignVariables.from_unit(u), band,
-        guard) for u in unit_x]`` to ~1e-10.
-        """
-        unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
-        with _obs_tracer.span("engine.performance_batch",
-                              batch=unit_x.shape[0]):
-            s, cy_band, ids = self.solve_batch(self._to_physical(unit_x))
-            figures = self._figures(s, cy_band, ids)
-        _obs_metrics.inc("engine.batch_solves")
-        _obs_metrics.inc("engine.candidates", unit_x.shape[0])
-        self._guard_batch_figures(figures)
-        return figures
-
-    def performance_batch_physical(self, x_physical: np.ndarray
-                                   ) -> BatchPerformance:
-        """Figures of merit for a (B, n_vars) batch of *physical* vectors.
-
-        Unlike :meth:`performance_batch` no unit-box clip is applied:
-        robust corner sweeps legitimately evaluate component values
-        outside the optimization box (a +5 % inductor above ``UPPER``
-        is still a buildable board).  Matches
-        ``[template.evaluate(DesignVariables.from_vector(v), band,
-        guard) for v in x_physical]`` to ~1e-10.
-        """
-        x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
-        with _obs_tracer.span("engine.performance_batch",
-                              batch=x_physical.shape[0]):
-            s, cy_band, ids = self.solve_batch(x_physical)
-            figures = self._figures(s, cy_band, ids)
-        _obs_metrics.inc("engine.batch_solves")
-        _obs_metrics.inc("engine.candidates", x_physical.shape[0])
-        self._guard_batch_figures(figures)
-        return figures
-
-    @staticmethod
-    def _guard_batch_figures(figures: BatchPerformance) -> None:
-        if not _guard_modes.enabled():
-            return
-        # Physical-sanity contract on the reported figures.  The
-        # check is read-only: strict mode raises, warn mode counts
-        # and warns — the returned values are bit-for-bit those of
-        # the unguarded path either way.
-        bad = _contracts.noise_figure_violation_mask(figures.nf_db)
-        if np.any(bad):
-            rows = np.flatnonzero(bad)
-            _contracts.report_violation(
-                "performance",
-                f"candidates {rows.tolist()} report NF < 0 dB "
-                f"(min {float(np.min(figures.nf_db[rows])):.3e} dB): "
-                f"negative noise power is unphysical",
-            )
 
     def _figures(self, s: np.ndarray, cy_band: np.ndarray,
                  ids: np.ndarray) -> BatchPerformance:
@@ -802,9 +701,35 @@ class CompiledTemplate:
             gt_ripple_db=np.max(gt_db, axis=1) - np.min(gt_db, axis=1),
         )
 
-    # -- fault-isolated solving ---------------------------------------------
+    # -- evaluation: one fault-isolated core --------------------------------
+    def performance_batch(self, unit_x: np.ndarray) -> BatchPerformance:
+        """Figures of merit for a (B, n_vars) batch of unit-box vectors.
+
+        The strict view of :meth:`performance_batch_isolated`: the same
+        batch, but ``ValueError`` (carrying the first failure's
+        category and message) when any row ended as a penalty.  Rows the
+        scalar fallback rescued are returned like any other.  Matches
+        ``[template.evaluate(DesignVariables.from_unit(u), band,
+        guard) for u in unit_x]`` to ~1e-10.
+        """
+        return self._strict(self._batch_isolated(unit_x, unit=True))
+
+    def performance_batch_physical(self, x_physical: np.ndarray
+                                   ) -> BatchPerformance:
+        """Figures of merit for a (B, n_vars) batch of *physical* vectors.
+
+        The strict view of :meth:`performance_batch_physical_isolated`.
+        Unlike :meth:`performance_batch` no unit-box clip is applied:
+        robust corner sweeps legitimately evaluate component values
+        outside the optimization box (a +5 % inductor above ``UPPER``
+        is still a buildable board).  Matches
+        ``[template.evaluate(DesignVariables.from_vector(v), band,
+        guard) for v in x_physical]`` to ~1e-10.
+        """
+        return self._strict(self._batch_isolated(x_physical, unit=False))
+
     def performance_batch_isolated(self, unit_x: np.ndarray):
-        """Like :meth:`performance_batch`, but no candidate can sink it.
+        """Figures of merit for unit-box vectors; no candidate can sink it.
 
         Degradation chain per candidate: the fused compiled solve first
         (the dense tier re-solves a failing batch row by row); rows it
@@ -814,7 +739,7 @@ class CompiledTemplate:
         nothing can evaluate them, or the bias is unusable — are filled
         with the finite worst-case figures of
         :meth:`AmplifierPerformance.penalty`.
-        Healthy rows are numerically identical to the plain batch path.
+        Healthy rows are exactly the compiled batch solve's figures.
 
         Returns ``(batch, failures, n_fallbacks)``: the
         :class:`BatchPerformance`, a per-candidate list of
@@ -822,40 +747,44 @@ class CompiledTemplate:
         including rows recovered by the scalar fallback), and the count
         of rows the scalar fallback recovered.
         """
-        unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
-        with _obs_tracer.span("engine.performance_batch_isolated",
-                              batch=unit_x.shape[0]):
-            batch, failures, n_fallbacks = self._batch_isolated(
-                self._to_physical(unit_x), unit_x,
-                lambda i: DesignVariables.from_unit(unit_x[i]),
-            )
-        self._record_isolated(unit_x.shape[0], failures, n_fallbacks)
-        return batch, failures, n_fallbacks
+        return self._batch_isolated(unit_x, unit=True)
 
     def performance_batch_physical_isolated(self, x_physical: np.ndarray):
-        """Fault-isolated twin of :meth:`performance_batch_physical`.
+        """:meth:`performance_batch_isolated` for *physical* vectors.
 
-        The same degradation chain as
-        :meth:`performance_batch_isolated` (compiled batch -> per-row
-        scalar fallback -> finite penalty figures) applied to raw
-        physical design vectors with no unit-box clip — robust corner
-        sweeps use this so one unsolvable corner quarantines through
-        the :class:`EvaluationFailure` taxonomy while the healthy
-        corners stay bit-identical to the plain physical batch path.
-        ``EvaluationFailure.x`` carries the *physical* row.
+        The same degradation chain (compiled batch -> per-row scalar
+        fallback -> finite penalty figures) applied to raw physical
+        design vectors with no unit-box clip — robust corner sweeps use
+        this so one unsolvable corner quarantines through the
+        :class:`EvaluationFailure` taxonomy while the healthy corners
+        keep their compiled figures.  ``EvaluationFailure.x`` carries
+        the *physical* row.
         """
-        x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
-        with _obs_tracer.span("engine.performance_batch_isolated",
-                              batch=x_physical.shape[0]):
-            batch, failures, n_fallbacks = self._batch_isolated(
-                x_physical, x_physical,
-                lambda i: DesignVariables.from_vector(x_physical[i]),
-            )
-        self._record_isolated(x_physical.shape[0], failures, n_fallbacks)
-        return batch, failures, n_fallbacks
+        return self._batch_isolated(x_physical, unit=False)
 
     @staticmethod
-    def _record_isolated(n_batch: int, failures, n_fallbacks: int) -> None:
+    def _strict(result) -> BatchPerformance:
+        """The batch of an isolated result, or ``ValueError`` naming the
+        first row that ended as a penalty."""
+        batch, failures, _ = result
+        for i, failure in enumerate(failures):
+            if failure is not None:
+                raise ValueError(f"candidate {i}: {failure}")
+        return batch
+
+    def _batch_isolated(self, x: np.ndarray, unit: bool):
+        """The one evaluation core behind every public entry point.
+
+        *x* holds unit-box rows when *unit* is true (clipped into the
+        box, decoded with :meth:`DesignVariables.from_unit`), physical
+        rows otherwise; failures are labelled with the rows as given.
+        Returns ``(batch, failures, n_fallbacks)`` and counts one
+        ``engine.batch_solves`` and B ``engine.candidates``.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        n_batch = x.shape[0]
+        with _obs_tracer.span("engine.performance_batch", batch=n_batch):
+            batch, failures, n_fallbacks = self._solve_isolated(x, unit)
         _obs_metrics.inc("engine.batch_solves")
         _obs_metrics.inc("engine.candidates", n_batch)
         if n_fallbacks:
@@ -868,16 +797,18 @@ class CompiledTemplate:
                               batch=int(n_batch),
                               scalar_fallbacks=int(n_fallbacks),
                               penalty_rows=int(n_penalties))
+        return batch, failures, n_fallbacks
 
-    def _batch_isolated(self, x_physical: np.ndarray, x_report: np.ndarray,
-                        decode):
-        """Shared isolated solve; ``x_report`` rows label failures and
-        ``decode(i)`` rebuilds row *i* for the scalar fallback."""
+    def _solve_isolated(self, x: np.ndarray, unit: bool):
+        """Compiled solve, scalar fallback and penalties for one batch."""
+        x_physical = self._to_physical(x) if unit else x
+        decode = (DesignVariables.from_unit if unit
+                  else DesignVariables.from_vector)
         n_batch = x_physical.shape[0]
         failures: List[Optional[EvaluationFailure]] = [None] * n_batch
         try:
             (admittances, scalar_psds, block_psds, ids,
-             bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
+             bad_bias) = self._candidate_values(x_physical)
         except FAILURE_EXCEPTIONS:
             # A value model raised for the batch as a whole: every row
             # takes the scalar chain below, which classifies it alone.
@@ -906,7 +837,7 @@ class CompiledTemplate:
                 CATEGORY_BAD_BIAS,
                 "device biased outside the saturated forward region "
                 "(gds <= 0)",
-                x=x_report[i].copy(),
+                x=x[i].copy(),
             )
             self._fill_row(batch, i, AmplifierPerformance.penalty(
                 self.band_grid, failures[i]))
@@ -918,12 +849,12 @@ class CompiledTemplate:
             with np.errstate(divide="ignore", invalid="ignore"):
                 try:
                     scalar = self.template.evaluate(
-                        decode(i), self.band_grid, self.guard_grid,
+                        decode(x[i]), self.band_grid, self.guard_grid,
                     )
                 except FAILURE_EXCEPTIONS as exc:
                     failures[i] = EvaluationFailure(
                         classify_exception(exc), str(exc),
-                        x=x_report[i].copy(),
+                        x=x[i].copy(),
                     )
                     self._fill_row(batch, i, AmplifierPerformance.penalty(
                         self.band_grid, failures[i]))
@@ -932,7 +863,7 @@ class CompiledTemplate:
                 failures[i] = EvaluationFailure(
                     category,
                     "scalar fallback also produced non-finite figures",
-                    x=x_report[i].copy(),
+                    x=x[i].copy(),
                 )
                 self._fill_row(batch, i, AmplifierPerformance.penalty(
                     self.band_grid, failures[i]))
@@ -957,7 +888,7 @@ class CompiledTemplate:
                 )
                 _contracts.report_violation("performance", message)
                 failures[i] = EvaluationFailure(
-                    CATEGORY_CONTRACT, message, x=x_report[i].copy()
+                    CATEGORY_CONTRACT, message, x=x[i].copy()
                 )
                 self._fill_row(batch, i, AmplifierPerformance.penalty(
                     self.band_grid, failures[i]))
@@ -972,12 +903,16 @@ class CompiledTemplate:
         y_batch, noise_sources = self._stamped_batch(
             n_batch, admittances, scalar_psds, block_psds
         )
+        # Two batched solves sharing the stamped tensor: the band slice
+        # carries the signal *and* noise right-hand sides, the guard
+        # slice only the two port columns (its noise response is never
+        # consumed).  Per-frequency independence makes the split exact.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s_band, cy_band, _, failed_band = solve_tensor_batch_isolated(
+            s_band, cy_band, failed_band = solve_tensor_batch_isolated(
                 y_batch[:, :n_band], self._port_rows, self._z0,
                 noise_sources,
             )
-            s_guard, _, _, failed_guard = solve_tensor_batch_isolated(
+            s_guard, _, failed_guard = solve_tensor_batch_isolated(
                 y_batch[:, n_band:], self._port_rows, self._z0
             )
         s = np.concatenate([s_band, s_guard], axis=1)
@@ -1043,7 +978,9 @@ class CompiledTemplate:
         Two probe points (the template defaults and an off-centre
         design) catch any element that varies with the design vector
         but was classified constant — its stamp would be frozen at the
-        compile-time value and the probes would disagree.
+        compile-time value and the probes would disagree.  Both probes
+        must come out of the compiled solve itself: a row the scalar
+        fallback rescued would only compare the scalar path with itself.
         """
         probes = np.vstack([
             DesignVariables().to_unit(),
@@ -1051,7 +988,14 @@ class CompiledTemplate:
                 np.full(len(DesignVariables.NAMES), 0.3)
             ).to_unit(),
         ])
-        batch = self.performance_batch(probes)
+        batch, failures, n_fallbacks = self.performance_batch_isolated(probes)
+        failed = [f"probe {k}: {f}" for k, f in enumerate(failures)
+                  if f is not None]
+        if failed or n_fallbacks:
+            raise CompileError(
+                f"compiled engine could not evaluate the probe designs "
+                f"({n_fallbacks} scalar fallbacks; failures: {failed})"
+            )
         for k in range(probes.shape[0]):
             scalar = self.template.evaluate(
                 DesignVariables.from_unit(probes[k]),

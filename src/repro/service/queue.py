@@ -82,6 +82,12 @@ _CANCEL_DIR = "cancel"
 #: never masks the outcome.
 _LOOKUP_ORDER = (JOB_STATE_DONE, JOB_STATE_FAILED, JOB_STATE_LEASED,
                  JOB_STATE_PENDING)
+#: Scans of the state directories :meth:`JobQueue.load` makes before it
+#: declares a job unknown.  One scan reads the directories one after
+#: another, so a job that moves into a directory the scan already read
+#: (claimed after the ``leased`` read, finished after the ``done`` read)
+#: is missed by that scan and found by the next.
+_LOAD_SCANS = 3
 
 
 class QueueFull(RuntimeError):
@@ -488,10 +494,11 @@ class JobQueue:
     # -- inspection --------------------------------------------------------------
     def load(self, job_id: str) -> JobRecord:
         """The job's current record; terminal states take precedence."""
-        for state in _LOOKUP_ORDER:
-            record = self._read_record(self._path(state, job_id))
-            if record is not None:
-                return record
+        for _ in range(_LOAD_SCANS):
+            for state in _LOOKUP_ORDER:
+                record = self._read_record(self._path(state, job_id))
+                if record is not None:
+                    return record
         raise JobNotFound(job_id)
 
     def state_of(self, job_id: str) -> str:

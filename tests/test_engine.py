@@ -78,8 +78,8 @@ class TestCompiledTemplate:
             self, monkeypatch, template):
         real = CompiledTemplate._candidate_values
 
-        def with_ghost(self, x_physical, bad_bias="raise"):
-            values = real(self, x_physical, bad_bias)
+        def with_ghost(self, x_physical):
+            values = real(self, x_physical)
             values[0]["Ghost"] = values[0]["Cin"]
             return values
 
@@ -87,6 +87,26 @@ class TestCompiledTemplate:
                             with_ghost)
         with pytest.raises(CompileError, match="Ghost"):
             CompiledTemplate(template, verify=False)
+
+    @pytest.mark.parametrize("solver", ["dense", "sparse"])
+    def test_verification_rejects_a_probe_only_the_fallback_evaluates(
+            self, monkeypatch, template, solver):
+        # The compiled figures of the second probe come back non-finite;
+        # the scalar template.evaluate stays honest and would rescue the
+        # row, so comparing the rescued row would compare the scalar path
+        # with itself.  Verification must refuse instead.
+        real = CompiledTemplate._figures
+
+        def second_probe_non_finite(self, s, cy_band, ids):
+            batch = real(self, s, cy_band, ids)
+            if len(batch) == 2:
+                batch.nf_db[1] = np.nan
+            return batch
+
+        monkeypatch.setattr(CompiledTemplate, "_figures",
+                            second_probe_non_finite)
+        with pytest.raises(CompileError, match="1 scalar fallbacks"):
+            CompiledTemplate(template, solver=solver)
 
 
 class TestLnaEvaluatorCache:

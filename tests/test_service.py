@@ -251,6 +251,30 @@ class TestJobQueue:
         with pytest.raises(JobNotFound):
             queue.load("no-such-job")
 
+    def test_load_finds_a_job_claimed_during_its_scan(
+            self, tmp_path, monkeypatch):
+        # The claim lands after load has looked in leased/ and before it
+        # looks in pending/, so one scan sees the job in neither.
+        queue = _queue(tmp_path)
+        record = queue.submit(_spec())
+        leased_path = queue._path("leased", record.job_id)
+        real_read = queue._read_record
+        claims = []
+
+        def read_then_claim(path):
+            found = real_read(path)
+            if path == leased_path and not claims:
+                claims.append(queue.claim("racer", 30.0))
+            return found
+
+        monkeypatch.setattr(queue, "_read_record", read_then_claim)
+        loaded = queue.load(record.job_id)
+        assert claims[0].job_id == record.job_id
+        assert loaded.state == "leased"
+        assert loaded.lease["owner"] == "racer"
+        with pytest.raises(JobNotFound):
+            queue.load("no-such-job")
+
     def test_live_job_ids_reports_pending_and_leased(self, tmp_path):
         root = tmp_path / "svc"
         queue = JobQueue(str(root / "queue"))

@@ -7,6 +7,8 @@ LnaEvaluator's penalty semantics (failures counted, journaled, and
 never cached as successes).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.analysis.compiled import (
     solve_tensor_batch,
     solve_tensor_batch_isolated,
 )
+from repro.analysis.conditioning import equilibrated_solve
 from repro.analysis.dc import DcConvergenceError
 from repro.core.amplifier import (
     PENALTY_GT_DB,
@@ -27,6 +30,8 @@ from repro.core.bands import design_grid, stability_grid
 from repro.core.engine import CompiledTemplate
 from repro.core.objectives import LnaEvaluator
 from repro.experiments.common import reference_device
+from repro.guards.modes import guard_mode
+from repro.obs.metrics import Metrics, set_metrics
 from repro.optimize.faults import CATEGORY_BAD_BIAS, CATEGORY_DC
 
 
@@ -56,7 +61,7 @@ def test_isolated_matches_plain_solve_on_healthy_batch():
     sources = [BatchNoiseSource(np.array([[1.0], [0.0]], dtype=complex),
                                 psd)]
     s_ref, cy_ref, _ = solve_tensor_batch(y.copy(), PORTS, Z0, sources)
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
+    s, cy, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
     assert not np.any(failed)
     assert np.array_equal(s, s_ref)
     assert np.array_equal(cy, cy_ref)
@@ -87,7 +92,7 @@ def test_isolated_flags_singular_rows_healthy_rows_bit_identical():
     psd = np.full((5, 3), 1e-20)
     sources = [BatchNoiseSource(np.array([[1.0], [0.0]], dtype=complex),
                                 psd)]
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
+    s, cy, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
     assert failed.tolist() == [False, True, False, True, False]
     assert np.all(s[[1, 3]] == 0.0)
     assert np.all(cy[[1, 3]] == 0.0)
@@ -108,9 +113,64 @@ def test_isolated_all_rows_singular():
     y = np.ones((3, 2, 2, 2), dtype=complex)
     y[:, :, 0, 0] -= 1.0 / Z0
     y[:, :, 1, 1] -= 1.0 / Z0
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0)
+    s, cy, failed = solve_tensor_batch_isolated(y, PORTS, Z0)
     assert np.all(failed)
     assert np.all(s == 0.0) and np.all(cy == 0.0)
+
+
+@pytest.mark.parametrize("batch_raises", [True, False])
+@pytest.mark.parametrize("mode", ["warn", "off"])
+def test_isolated_rescue_loop(monkeypatch, batch_raises, mode):
+    """Rows the full batch cannot deliver take one loop: a plain
+    re-solve of the row alone only when the full batch raised, then the
+    equilibrated escalation when guards are on, else a failed flag."""
+    import repro.analysis.compiled as kernel
+
+    real = kernel.solve_tensor_batch
+    calls = []
+
+    def flaky(y, port_rows, z0, sources=(), probe_rows=(),
+              _solve=np.linalg.solve):
+        escalated = _solve is equilibrated_solve
+        calls.append(("equilibrated" if escalated else "plain", len(y)))
+        if len(y) > 1 and batch_raises:
+            raise ValueError("singular circuit")
+        s, cy, transfers = real(y, port_rows, z0, sources, probe_rows,
+                                _solve=_solve)
+        if not escalated:
+            # Row 1 (diagonal 2 * 1.1) comes back non-finite unless
+            # the escalation solves it.
+            s[y[:, 0, 0, 0] == 2.2] = np.nan
+        return s, cy, transfers
+
+    monkeypatch.setattr(kernel, "solve_tensor_batch", flaky)
+    metrics = Metrics()
+    previous = set_metrics(metrics)
+    try:
+        with guard_mode(mode):
+            s, cy, failed = solve_tensor_batch_isolated(
+                _healthy_tensor(), PORTS, Z0)
+    finally:
+        set_metrics(previous)
+
+    rescued = mode == "warn"
+    row_1 = [("plain", 1)] * batch_raises + [("equilibrated", 1)] * rescued
+    if batch_raises:   # rows 0..3 each re-solved alone
+        assert calls == [("plain", 4), ("plain", 1)] + row_1 \
+            + [("plain", 1)] * 2
+    else:              # only row 1 is retried, and only escalated
+        assert calls == [("plain", 4)] + row_1
+    assert failed.tolist() == [False, not rescued, False, False]
+    s_ref, cy_ref, _ = real(_healthy_tensor(), PORTS, Z0)
+    healthy = [0, 2, 3]
+    np.testing.assert_allclose(s[healthy], s_ref[healthy], rtol=1e-12)
+    if rescued:
+        np.testing.assert_allclose(s[1], s_ref[1], rtol=1e-9)
+    else:
+        assert np.all(s[1] == 0.0) and np.all(cy[1] == 0.0)
+    assert metrics.counter("mna.equilibrated_rescues") == int(rescued)
+    assert metrics.counter("mna.batch_refactorizations") == int(batch_raises)
+    assert metrics.counter("mna.failed_rows") == int(not rescued)
 
 
 def test_isolated_shape_validation():
@@ -223,6 +283,56 @@ def test_engine_raising_path_still_raises_on_bad_bias(template, grids):
     unit[0, 0] = 0.0
     with pytest.raises(ValueError, match="saturated forward region"):
         compiled.performance_batch(unit)
+
+
+@pytest.mark.parametrize("solver", ["dense", "sparse"])
+def test_strict_view_returns_rows_the_scalar_chain_rescues(
+        monkeypatch, template, grids, solver):
+    band, guard = grids
+    compiled = CompiledTemplate(template, band, guard, solver=solver)
+    tier_solve = f"_isolated_{solver}"
+    real = getattr(compiled, tier_solve)
+
+    def flag_row_1(*args):
+        s, cy_band, failed = real(*args)
+        failed = failed.copy()
+        failed[1] = True
+        return s, cy_band, failed
+
+    monkeypatch.setattr(compiled, tier_solve, flag_row_1)
+    n = len(DesignVariables.NAMES)
+    unit = np.tile(np.full(n, 0.5), (3, 1))
+    unit[1, 2] = 0.3
+    _, failures, n_fallbacks = compiled.performance_batch_isolated(unit)
+    assert failures == [None, None, None] and n_fallbacks == 1
+
+    batch = compiled.performance_batch(unit)
+    scalar = template.evaluate(DesignVariables.from_unit(unit[1]),
+                               band, guard)
+    for name in ("nf_db", "gt_db", "s11_db", "s22_db"):
+        np.testing.assert_allclose(getattr(batch, name)[1],
+                                   getattr(scalar, name), rtol=0, atol=1e-9)
+    assert batch.mu_min[1] == pytest.approx(scalar.mu_min, abs=1e-9)
+    assert batch.ids[1] == pytest.approx(scalar.ids, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["dense", "sparse"])
+def test_strict_view_raises_naming_the_failure_category(
+        template, grids, solver):
+    band, guard = grids
+    compiled = CompiledTemplate(template, band, guard, solver=solver)
+    template.device.dc_model = LowBiasExplodingDcModel(
+        template.device.dc_model, vgs_threshold=0.40)
+    n = len(DesignVariables.NAMES)
+    unit = np.tile(np.full(n, 0.5), (3, 1))
+    unit[1, 0] = 0.0   # vgs at the box floor: nothing can evaluate it
+    physical = np.vstack([DesignVariables.from_unit(u).to_vector()
+                          for u in unit])
+    expected = re.escape(f"candidate 1: [{CATEGORY_DC}]")
+    with pytest.raises(ValueError, match=expected):
+        compiled.performance_batch(unit)
+    with pytest.raises(ValueError, match=expected):
+        compiled.performance_batch_physical(physical)
 
 
 def test_dc_convergence_error_propagates_through_scalar_evaluate(
